@@ -224,8 +224,12 @@ def _report(args, job, body):
 
 def _emit(args, text: str):
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write {args.output}: {exc.strerror}",
+                            path=args.output)
     else:
         sys.stdout.write(text)
 
@@ -438,6 +442,24 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(f"argument error: {message}")
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than low.
+
+    A ball of negative radius is empty, and a check over the radius-0
+    ball sees only the identity, which carries no loop; such radii would
+    report checks that prove nothing, so they are refused.
+    """
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(parser, formats=("json", "text")):
     parser.add_argument("--group", required=True,
                         help="builtin:<name> or file:<path>")
@@ -445,7 +467,7 @@ def _add_common(parser, formats=("json", "text")):
                         help="id | inner:<element> | images:{...} | file:<path>")
     parser.add_argument("--tau", default="id",
                         help="id | inner:<element> | images:{...} | file:<path>")
-    parser.add_argument("--radius", type=int, default=None,
+    parser.add_argument("--radius", type=_int_at_least(0), default=None,
                         help="truncation radius for heisenberg_Z (default 4)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for any sampled checks")
@@ -490,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=int, default=0)
     p.add_argument("--nu", type=int, default=0)
     p.add_argument("--r", type=int, default=0)
-    p.add_argument("--check-radius", dest="check_radius", type=int, default=3)
+    p.add_argument("--check-radius", dest="check_radius",
+                   type=_int_at_least(1), default=3)
 
     p = sub.add_parser("groupoid-export", help="render the groupoid")
     _add_common(p, formats=("dot",))

@@ -26,6 +26,7 @@ from .errors import (
     NotComposable,
     NotSupportedForScope,
 )
+from .groups import twisted_class_indices
 
 
 class Morphism:
@@ -206,15 +207,9 @@ class GroupoidView:
         when the ball is too small to connect them.
         """
         if self.group.kind == "finite":
-            classes = []
-            visited = set()
-            for a in self._scope:
-                if a in visited:
-                    continue
-                cls = self.conjugacy_class(a)
-                visited.update(cls.elements)
-                classes.append(cls.elements)
-            return classes
+            elems = self._scope
+            return [[elems[i] for i in members] for members in
+                    twisted_class_indices(self.group, self.sigma, self.tau)]
         parent = {a: a for a in self._scope}
 
         def find(x):

@@ -550,11 +550,41 @@ class Endomorphism:
 
 
 def identity_endomorphism(group: Group) -> Endomorphism:
-    if group.kind == "finite":
-        return Endomorphism(group, table=list(range(group.order)),
-                            is_automorphism=True)
-    return Endomorphism(group, gen_images=[g.payload for g in group.generators],
-                        is_automorphism=True)
+    """The identity map, built as conjugation by the identity element so
+    that it carries an inner witness like any other inner map."""
+    return inner_endomorphism(group, group.identity())
+
+
+def twisted_class_indices(group: Group, sigma: Endomorphism,
+                          tau: Endomorphism):
+    """The (sigma, tau)-conjugacy classes of a finite group, as index lists.
+
+    The class of a is {sigma(g^-1) a tau(g)}. Since g acts on the right
+    (first g, then k is the same as g k), and every element of a finite
+    group is a positive word in the generators, the orbit under the
+    generator moves alone is the whole class. Each class is sorted, and
+    classes are ordered by their least index.
+    """
+    cay = group.cayley
+    inv = group.inverse_table
+    moves = [(sigma.table[inv[s.payload]], tau.table[s.payload])
+             for s in group.generators]
+    seen = [False] * group.order
+    classes = []
+    for a in range(group.order):
+        if seen[a]:
+            continue
+        seen[a] = True
+        members = [a]
+        for b in members:  # grows while scanned: a breadth-first orbit
+            for left, right in moves:
+                c = cay[cay[left][b]][right]
+                if not seen[c]:
+                    seen[c] = True
+                    members.append(c)
+        members.sort()
+        classes.append(members)
+    return classes
 
 
 def make_endomorphism(group: Group, images) -> Endomorphism:

@@ -3,22 +3,31 @@
 Two small engines, nothing general purpose: a fraction-free reduced row
 echelon form over the integers (the constraint systems here have tiny
 integer coefficients) and a plain eliminator over an exact field for
-inhomogeneous solves. Columns are integers 0..n-1; rows are sparse
-dicts. Pivoting always picks the smallest column index, so results are
+inhomogeneous solves. Columns are integers; rows are sparse dicts.
+Pivoting always picks the smallest column index, so results are
 deterministic and, since the reduced echelon form of a row space is
 unique, independent of row insertion order.
+
+The integer reducer keeps a column index (column -> stored rows touching
+it) so that a new pivot is eliminated only from the rows that contain
+it, and each elimination updates the index only for the columns it adds
+or cancels. A caller whose system is block diagonal may run one reducer
+per block over that block's column list: the union of the per-block
+echelon forms is the echelon form of the whole system, so the pivots and
+the kernel basis do not change.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
 def _normalize(row, pivot_col):
     g = 0
     for v in row.values():
-        g = gcd(g, abs(v))
+        g = gcd(g, v)
+        if g == 1:
+            break
     if g > 1:
         for c in list(row):
             row[c] //= g
@@ -57,14 +66,6 @@ class IntegerRowReducer:
         for c in row:
             self._col_index.setdefault(c, set()).add(pivot_col)
 
-    def _index_remove(self, pivot_col, row):
-        for c in row:
-            bucket = self._col_index.get(c)
-            if bucket is not None:
-                bucket.discard(pivot_col)
-                if not bucket:
-                    del self._col_index[c]
-
     def add_row(self, row) -> bool:
         """Reduce a row into the current form. True if the rank grew."""
         row = {c: v for c, v in row.items() if v}
@@ -80,40 +81,58 @@ class IntegerRowReducer:
             return False
         pivot_col = min(row)
         _normalize(row, pivot_col)
-        # eliminate the new pivot column from every stored row touching it
-        for pc in list(self._col_index.get(pivot_col, ())):
+        # eliminate the new pivot column from every stored row touching it;
+        # scaling keeps a row's support, so only the columns of the new
+        # row can enter or leave the stored row's support
+        index = self._col_index
+        a = row[pivot_col]
+        for pc in list(index.get(pivot_col, ())):
             stored = self.rows[pc]
-            self._index_remove(pc, stored)
-            _int_combine(stored, row[pivot_col], stored[pivot_col], row)
+            b = stored[pivot_col]
+            if a != 1:
+                for c in stored:
+                    stored[c] *= a
+            for c, v in row.items():
+                old = stored.get(c, 0)
+                nv = old - b * v
+                if nv:
+                    stored[c] = nv
+                    if not old:
+                        index.setdefault(c, set()).add(pc)
+                else:
+                    del stored[c]
+                    bucket = index[c]
+                    bucket.discard(pc)
+                    if not bucket:
+                        del index[c]
             _normalize(stored, pc)
-            self._index_add(pc, stored)
         self.rows[pivot_col] = row
         self._index_add(pivot_col, row)
         return True
 
-    def nullspace_basis(self, n_cols):
-        """Integer kernel basis, one vector per free column, in column order.
+    def nullspace_basis(self, columns):
+        """Integer kernel basis, one vector per free column, in the order
+        of columns.
 
-        Each vector has coprime entries and a positive entry at its free
-        column.
+        columns lists every column of the system; those without a pivot
+        are free. Each vector has coprime entries and a positive entry at
+        its free column.
         """
-        free_cols = [c for c in range(n_cols) if c not in self.rows]
+        free_cols = [c for c in columns if c not in self.rows]
         basis = []
         for f in free_cols:
-            vec = {f: Fraction(1)}
-            for p, row in self.rows.items():
-                if f in row:
-                    vec[p] = Fraction(-row[f], row[p])
-            lcm = 1
-            for v in vec.values():
-                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-            out = {c: int(v * lcm) for c, v in vec.items()}
-            g = 0
-            for v in out.values():
-                g = gcd(g, abs(v))
-            if g > 1:
-                out = {c: v // g for c, v in out.items()}
-            basis.append(out)
+            # x_f = 1 and x_p = -row[f] / row[p], scaled by the lcm of the
+            # pivot entries (all positive) to clear the denominators
+            pivots = self._col_index.get(f, ())
+            scale = 1
+            for p in pivots:
+                d = self.rows[p][p]
+                scale = scale * d // gcd(scale, d)
+            out = {f: scale}
+            for p in pivots:
+                row = self.rows[p]
+                out[p] = -row[f] * (scale // row[p])
+            basis.append(_normalize(out, f))
         return basis
 
 

@@ -61,16 +61,10 @@ def is_fc(group, sigma, tau, radius=None):
         return True
     if radius is None:
         radius = 4
-    inner = GroupoidView(group, sigma, tau, radius=radius)
-    smaller = GroupoidView(group, sigma, tau, radius=max(radius - 1, 1))
+    view = GroupoidView(group, sigma, tau, radius=radius)
     for a in group.ball(min(radius, 2)):
-        cls = inner.conjugacy_class(a)
-        if not cls.truncated:
-            continue
-        if len(cls.elements) > len(smaller.conjugacy_class(a).elements):
+        if view.conjugacy_class(a).truncated:
             return "truncated-unknown"
-        # not growing in this window, but not certified either
-        return "truncated-unknown"
     return True
 
 

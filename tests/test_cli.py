@@ -229,6 +229,50 @@ def test_error_wrong_shape_derivation_file(tmp_path):
     assert json.loads(proc.stderr)["error"] == "SpecError"
 
 
+def test_error_check_radius_below_one():
+    # a check over the ball of radius 0 or less sees no loop and would
+    # report quasi_inner true for mu != 0, the opposite of the truth
+    for radius in ("-1", "0"):
+        proc = run_cli(
+            "derivations", "central", "--group", "builtin:heisenberg_Z",
+            "--params", "0,0,0,0", "--mu", "1", "--check-radius", radius,
+            check=False,
+        )
+        assert proc.returncode == 2, radius
+        assert proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["error"] == "SpecError"
+        assert "--check-radius" in err["message"]
+
+
+def test_error_negative_radius():
+    proc = run_cli("classes", "--group", "builtin:heisenberg_Z",
+                   "--radius", "-2", check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SpecError"
+    assert "--radius" in err["message"]
+
+
+def test_error_unwritable_output(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    proc = run_cli("classes", "--group", "builtin:s3", "--output", str(path),
+                   check=False)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SpecError"
+    assert err["path"] == str(path)
+    assert not path.exists()
+
+
+def test_group_info_heisenberg_identity_tau_is_inner():
+    blob = out_json(run_cli("group-info", "--group", "builtin:heisenberg_Z",
+                            "--tau", "id"))
+    assert blob["is_rank2_nilpotent"] is True
+    assert blob["center"]["kind"] == "free_abelian"
+
+
 def test_images_endomorphism_spec():
     blob = out_json(
         run_cli(

@@ -174,11 +174,15 @@ def test_heisenberg_ball_is_deterministic():
 
 
 def test_identity_endomorphism():
-    g = builtin_group("symmetric", 3)
-    e = identity_endomorphism(g)
-    for x in g.elements():
-        assert e(x) == x
-    assert e.is_automorphism
+    # the identity carries the inner witness e on both kinds of group, so
+    # closed forms that need inner sigma and tau accept it
+    for g in (builtin_group("symmetric", 3), builtin_group("heisenberg_Z")):
+        e = identity_endomorphism(g)
+        scope = g.elements() if g.kind == "finite" else g.ball(2)
+        for x in scope:
+            assert e(x) == x
+        assert e.is_automorphism
+        assert e.inner_witness == g.identity()
 
 
 def test_inner_endomorphism_is_conjugation():

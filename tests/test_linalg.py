@@ -43,7 +43,7 @@ def test_integer_reducer_nullspace_annihilates_rows():
         reducer = IntegerRowReducer()
         for row in rows:
             reducer.add_row(dict(row))
-        basis = reducer.nullspace_basis(n_cols)
+        basis = reducer.nullspace_basis(range(n_cols))
         assert len(basis) == n_cols - reducer.rank
         for vec in basis:
             assert any(vec.values()), "nullspace vector must be nonzero"
@@ -57,10 +57,58 @@ def test_integer_reducer_nullspace_vectors_independent():
     # no other vector touches as its marker
     reducer = IntegerRowReducer()
     reducer.add_row({0: 1, 1: 1, 2: 1})
-    basis = reducer.nullspace_basis(4)
+    basis = reducer.nullspace_basis(range(4))
     assert len(basis) == 3
     markers = [max(c for c, v in vec.items() if v) for vec in basis]
     assert len(set(markers)) == 3
+
+
+def test_integer_reducer_column_index_tracks_stored_rows():
+    # back-elimination edits the column index only where a stored row
+    # gains or loses a column; it must still match the stored rows, and
+    # every stored row must touch no pivot column but its own
+    rng = random.Random(41)
+    for trial in range(40):
+        n_cols = rng.randint(2, 12)
+        reducer = IntegerRowReducer()
+        for row in _random_sparse_rows(rng, rng.randint(1, 15), n_cols):
+            reducer.add_row(row)
+            expected = {}
+            for pc, stored in reducer.rows.items():
+                assert all(stored.values()), (trial, stored)
+                assert min(stored) == pc and stored[pc] > 0, (trial, stored)
+                assert not (set(stored) - {pc}) & set(reducer.rows), trial
+                for c in stored:
+                    expected.setdefault(c, set()).add(pc)
+            assert reducer._col_index == expected, trial
+
+
+def test_integer_reducer_block_diagonal_matches_whole_system():
+    # one reducer per block of columns, each asked for its own kernel,
+    # gives the same rank and the same kernel vectors as one reducer
+    # over the whole system
+    rng = random.Random(47)
+    for trial in range(30):
+        n_cols = rng.randint(2, 10)
+        cols = list(range(n_cols))
+        rng.shuffle(cols)
+        cut = rng.randint(1, n_cols - 1)
+        blocks = [sorted(cols[:cut]), sorted(cols[cut:])]
+        whole = IntegerRowReducer()
+        rank = 0
+        vectors = []
+        for block in blocks:
+            part = IntegerRowReducer()
+            for _ in range(rng.randint(0, 8)):
+                row = {c: rng.randint(-4, 4) for c in block
+                       if rng.random() < 0.5}
+                part.add_row(dict(row))
+                whole.add_row(dict(row))
+            rank += part.rank
+            vectors.extend(part.nullspace_basis(block))
+        assert rank == whole.rank, trial
+        vectors.sort(key=max)
+        assert vectors == whole.nullspace_basis(range(n_cols)), trial
 
 
 def test_field_eliminator_solves_constructed_system():
