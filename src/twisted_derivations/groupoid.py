@@ -131,7 +131,7 @@ class GroupoidView:
                     f"{group.name} is infinite; a truncation radius is required",
                     group=group.name)
             self._scope = group.ball(radius)
-        self._scope_set = set(self._scope)
+        self._moves = None
 
     def objects(self):
         return list(self._scope)
@@ -181,15 +181,16 @@ class GroupoidView:
     # -- classes, centralizers, center ---------------------------------------
 
     def conjugacy_class(self, a) -> ConjugacyClass:
-        """[a] = {sigma(g^-1) a tau(g)} over g in scope."""
+        """[a] = {sigma(g^-1) a tau(g)} over g in scope.
+
+        Listed as {sigma(v) a tau(v^-1)} over the distinct moves v of
+        components(); the two sets agree (v = g^-1) because the scope is
+        closed under inverses, as a finite group and a ball both are.
+        """
         group = self.group
         group._check(a)
-        seen = {}
-        for g in self._scope:
-            g_inv = g.inverse()
-            b = self.sigma(g_inv) * a * self.tau(g)
-            seen[b] = True
-        elements = sorted(seen, key=group.sort_key)
+        seen = {self._step(key, a.payload) for key in self._distinct_moves()}
+        elements = sorted(map(group.element, seen), key=group.sort_key)
         if group.kind == "finite":
             truncated = False
         else:
@@ -201,37 +202,65 @@ class GroupoidView:
         """Partition of the scope into groupoid components.
 
         On a finite group these are exactly the conjugacy classes. On a
-        ball scope the partition connects a to sigma(g^-1) a tau(g) for
-        witnesses g in the scope whenever both endpoints are visible, so
-        pieces of one infinite class can appear as separate components
-        when the ball is too small to connect them.
+        ball scope witness v in the scope joins a to b = sigma(v) a
+        tau(v^-1) when both are visible, so pieces of one infinite class
+        appear as separate components when the ball is too small.
+
+        With L = sigma(v) and R = tau(v^-1) the move is affine on triples,
+        b = (a0+L0+R0, a1+L1+R1, a2 + (L2+R2+L0*R1) + L0*a1 + R1*a0), so
+        v acts only through the key (L0+R0, L1+R1, L2+R2+L0*R1, L0, R1);
+        on a finite group the key is the index pair (L, R). One union-find
+        (_forest) runs over the first witness of each key only.
         """
         if self.group.kind == "finite":
-            elems = self._scope
-            return [[elems[i] for i in members] for members in
+            return [[self._scope[i] for i in members] for members in
                     twisted_class_indices(self.group, self.sigma, self.tau)]
-        parent = {a: a for a in self._scope}
+        return [members for members, _ in self._forest()]
+
+    def _distinct_moves(self):
+        """{key: first witness v in scope order}, computed once."""
+        if self._moves is None:
+            self._moves = {}
+            for v in self._scope:
+                L, R = self.sigma(v).payload, self.tau(v.inverse()).payload
+                key = (L, R) if self.group.kind == "finite" else (
+                    L[0] + R[0], L[1] + R[1], L[2] + R[2] + L[0] * R[1], L[0], R[1])
+                self._moves.setdefault(key, v)
+        return self._moves
+
+    def _step(self, key, p):
+        if self.group.kind == "finite":
+            return self.group.cayley[self.group.cayley[key[0]][p]][key[1]]
+        return (p[0] + key[0], p[1] + key[1],
+                p[2] + key[2] + key[3] * p[1] + key[4] * p[0])
+
+    def _forest(self):
+        """[(component, its spanning-forest edges (a, v, b))]: a scanned in
+        scope order, then moves by first witness (see components)."""
+        scope = self._scope
+        index = {g.payload: i for i, g in enumerate(scope)}
+        parent = list(range(len(scope)))
 
         def find(x):
-            while parent[x] is not x:
+            while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        for a in self._scope:
-            for g in self._scope:
-                b = self.sigma(g.inverse()) * a * self.tau(g)
-                if b in self._scope_set:
-                    ra, rb = find(a), find(b)
-                    if ra is not rb:
-                        parent[rb] = ra
-        buckets = {}
-        for a in self._scope:
-            buckets.setdefault(find(a), []).append(a)
-        key = self.group.sort_key
-        classes = [sorted(v, key=key) for v in buckets.values()]
-        classes.sort(key=lambda cls: key(cls[0]))
-        return classes
+        found = []
+        for i, a in enumerate(scope):
+            for key, v in self._distinct_moves().items():
+                j = index.get(self._step(key, a.payload))
+                if j is not None and find(i) != find(j):
+                    parent[find(j)] = find(i)
+                    found.append((i, v, j))
+        # the scope is sorted, so components come sorted, by least element
+        out = {}
+        for i, a in enumerate(scope):
+            out.setdefault(find(i), ([], []))[0].append(a)
+        for i, v, j in found:
+            out[find(i)][1].append((scope[i], v, scope[j]))
+        return list(out.values())
 
     def centralizer(self, u):
         """Z(u) = {z : sigma(z) u = u tau(z)}.
@@ -359,51 +388,22 @@ def derivation_from_character(view: GroupoidView, chi: Character) -> DerivationT
 def to_dot(view: GroupoidView) -> str:
     """Render the groupoid as a DOT digraph, one subgraph per component.
 
-    Nodes are objects named by their canonical labels; edges are a
-    spanning set of morphisms (u, v) labeled by v, discovered in
-    canonical order, plus an identity loop on singleton components so
+    Nodes are objects named by their canonical labels. An edge a -> b
+    labeled v is the morphism (sigma(v) a, v), so b = sigma(v) a tau(v^-1).
+    The edges form a spanning forest, found in canonical order of a and
+    then of v; only the first witness v of each move key (see
+    GroupoidView.components) is tried, since a later witness with the
+    same key reaches the same b after the first has joined a and b, so
+    it could add no edge. Singleton components get an identity loop so
     every object carries at least one visible morphism.
     """
     group = view.group
-    scope = view.objects()
-    scope_set = set(scope)
-    parent = {a: a for a in scope}
-
-    def find(x):
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for a in scope:
-        for v in scope:
-            u = view.sigma(v) * a
-            b = u * view.tau(v.inverse())
-            if b in scope_set:
-                ra, rb = find(a), find(b)
-                if ra is not rb:
-                    parent[rb] = ra
-                    edges.append((a, v, b))
-    buckets = {}
-    for a in scope:
-        buckets.setdefault(find(a), []).append(a)
-    key = group.sort_key
-    components = sorted(
-        (sorted(members, key=key) for members in buckets.values()),
-        key=lambda cls: key(cls[0]))
-    edges_by_root = {}
-    for a, v, b in edges:
-        edges_by_root.setdefault(find(a), []).append((a, v, b))
-
     lines = ["digraph groupoid {", '  node [shape=box];']
-    for i, members in enumerate(components):
-        root = find(members[0])
+    for i, (members, component_edges) in enumerate(view._forest()):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="component {group.label(members[0])}";')
         for a in members:
             lines.append(f'    "{group.label(a)}";')
-        component_edges = edges_by_root.get(root, [])
         if not component_edges:
             e = group.identity()
             for a in members:

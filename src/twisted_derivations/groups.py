@@ -25,6 +25,7 @@ from .errors import (
     NotAHomomorphism,
     NotAssociative,
     NotLatinSquare,
+    ScopeExceeded,
     UnsupportedParameter,
 )
 
@@ -34,6 +35,9 @@ ASSOCIATIVITY_EXHAUSTIVE_LIMIT = 64
 ASSOCIATIVITY_SAMPLES = 10_000
 
 MAX_FINITE_ORDER = 1024
+# The Heisenberg ball grows about as radius^4, and each step up costs the
+# ball queries 3-4x more time; larger radii are refused.
+MAX_BALL_RADIUS = 8
 
 
 def _heis_mul(p, q):
@@ -180,10 +184,15 @@ class Group:
 
         Finite groups return the full element list regardless of radius.
         The Heisenberg ball is sorted by (|c|, |a|, |b|, a, b, c) so that
-        enumeration order is reproducible.
+        enumeration order is reproducible; a radius above MAX_BALL_RADIUS
+        raises ScopeExceeded.
         """
         if self.kind == "finite":
             return self.elements()
+        if radius > MAX_BALL_RADIUS:
+            raise ScopeExceeded(
+                f"ball radius {radius} exceeds the supported bound {MAX_BALL_RADIUS}",
+                radius=radius, limit=MAX_BALL_RADIUS)
         letters = [g.payload for g in self.generators]
         letters += [_heis_inv(p) for p in letters]
         seen = {(0, 0, 0)}

@@ -68,17 +68,6 @@ def is_fc(group, sigma, tau, radius=None):
     return True
 
 
-def _twisted_center_elements(group, sigma, tau):
-    elems = group.elements()
-    out = []
-    for z in elems:
-        sz = sigma(z)
-        tz = tau(z)
-        if all(sz * p == p * tz for p in elems):
-            out.append(z)
-    return out
-
-
 def is_rank2_nilpotent(group, sigma, tau) -> bool:
     """True iff G/Z is abelian, for Z the twisted center.
 
@@ -96,7 +85,7 @@ def is_rank2_nilpotent(group, sigma, tau) -> bool:
         # and G/<z> is Z^2
         return True
     elems = group.elements()
-    center = _twisted_center_elements(group, sigma, tau)
+    center = GroupoidView(group, sigma, tau).center()
     center_set = set(center)
     for z1 in center:
         for z2 in center:

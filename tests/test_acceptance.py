@@ -317,6 +317,11 @@ CLI_COMMANDS = [
     ["centralizers", "--group", "builtin:q8", "--sigma", "inner:i"],
     ["derivations", "basis", "--group", "builtin:q8",
      "--sigma", "inner:i", "--tau", "inner:j"],
+    ["groupoid-export", "--group", "builtin:heisenberg_Z", "--sigma",
+     "inner:[2,3,0]", "--tau", "inner:[1,-1,1]", "--radius", "4",
+     "--format", "dot"],
+    ["classes", "--group", "builtin:heisenberg_Z", "--sigma", "inner:[1,0,0]",
+     "--tau", "inner:[0,2,1]", "--radius", "3"],
 ]
 
 
@@ -348,3 +353,5 @@ def test_criterion_8():
     assert outputs[6].count(b"subgraph cluster_") == 1
     assert b"->" in outputs[6]
     assert outputs[7].count(b"subgraph cluster_") == 3
+    assert outputs[12].count(b"subgraph cluster_") == 61
+    assert body(13)["count"] == 36

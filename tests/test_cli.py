@@ -255,6 +255,22 @@ def test_error_negative_radius():
     assert "--radius" in err["message"]
 
 
+def test_error_radius_above_cap():
+    proc = run_cli("groupoid-export", "--group", "builtin:heisenberg_Z",
+                   "--radius", "9", "--format", "dot", check=False)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ScopeExceeded"
+    assert err["radius"] == 9 and err["limit"] == 8
+
+
+def test_radius_at_cap_is_accepted():
+    proc = run_cli("groupoid-export", "--group", "builtin:heisenberg_Z",
+                   "--radius", "8", "--format", "dot")
+    assert proc.stdout.count("subgraph cluster_") >= 1
+
+
 def test_error_unwritable_output(tmp_path):
     path = tmp_path / "missing" / "x.json"
     proc = run_cli("classes", "--group", "builtin:s3", "--output", str(path),
