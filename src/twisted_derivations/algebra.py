@@ -260,18 +260,3 @@ class AlgebraElement:
                 terms[g] = terms.get(g, ZERO) + c
         return cls(group, terms)
 
-
-def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    return f * g
-
-
-def add(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    return f + g
-
-
-def scale(c, f: AlgebraElement) -> AlgebraElement:
-    return f.scale(c)
-
-
-def apply_endomorphism(endo, f: AlgebraElement) -> AlgebraElement:
-    return f.apply(endo)

@@ -106,9 +106,5 @@ class WellDefinednessError(WitnessError):
     pass
 
 
-class CenterNotNormal(WitnessError):
-    pass
-
-
 class NotASubgroup(WitnessError):
     pass

@@ -305,14 +305,21 @@ class GroupoidView:
             rank=2, kind="free_abelian")
 
     def center(self):
-        """Z = {z : sigma(z) p = p tau(z) for every p}."""
+        """Z = {z : sigma(z) p = p tau(z) for every p}.
+
+        p = e gives sigma(z) = tau(z), and then the condition says that
+        sigma(z) commutes with every p, which holds iff it commutes with
+        the generators. So on a finite group p ranges over e and the
+        generators only.
+        """
         group = self.group
         if group.kind == "finite":
+            probes = [group.identity()] + group.generators
             out = []
             for z in self._scope:
                 sz = self.sigma(z)
                 tz = self.tau(z)
-                if all(sz * p == p * tz for p in self._scope):
+                if all(sz * p == p * tz for p in probes):
                     out.append(z)
             return out
         # with inner sigma, tau the centralizer condition at p reads

@@ -14,7 +14,6 @@ general finitely-presented-group machinery here.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -26,15 +25,15 @@ from .errors import (
     NotAssociative,
     NotLatinSquare,
     ScopeExceeded,
+    SpecError,
     UnsupportedParameter,
 )
 
-# Group axioms are checked exhaustively up to this order and on a fixed
-# deterministic sample of triples above it.
-ASSOCIATIVITY_EXHAUSTIVE_LIMIT = 64
-ASSOCIATIVITY_SAMPLES = 10_000
-
 MAX_FINITE_ORDER = 1024
+# A non-associative table up to this order reports the first failing
+# triple of the full canonical scan; larger ones report the generator
+# test's own witness, since the full scan is cubic.
+WITNESS_SCAN_LIMIT = 64
 # The Heisenberg ball grows about as radius^4, and each step up costs the
 # ball queries 3-4x more time; larger radii are refused.
 MAX_BALL_RADIUS = 8
@@ -257,17 +256,29 @@ class Group:
 
 
 def _validate_cayley(cayley):
+    """(identity_index, inverse_table, generators) of a group table.
+
+    Raises NotLatinSquare, NoIdentity, NoInverse or NotAssociative, in
+    that order of checking. Associativity is proved by Light's test
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1.2): the
+    elements g with (x g) y = x (g y) for all x, y form a set closed
+    under products, and every element is a left-normed product of the
+    greedy generators, so checking g over the generators alone is
+    exhaustive. A failure up to WITNESS_SCAN_LIMIT reports the first
+    triple of the canonical scan over all (a, b, c); above it, the first
+    (x, g, y) of the generator scan.
+    """
     order = len(cayley)
     if order == 0:
         raise NotLatinSquare("empty table")
+    full = list(range(order))
     for i, row in enumerate(cayley):
         if len(row) != order:
             raise NotLatinSquare(f"row {i} has length {len(row)}, expected {order}", row=i)
-        if sorted(row) != list(range(order)):
+        if sorted(row) != full:
             raise NotLatinSquare(f"row {i} is not a permutation of 0..{order - 1}", row=i)
-    for j in range(order):
-        col = [cayley[i][j] for i in range(order)]
-        if sorted(col) != list(range(order)):
+    for j, col in enumerate(zip(*cayley)):
+        if sorted(col) != full:
             raise NotLatinSquare(f"column {j} is not a permutation of 0..{order - 1}", column=j)
 
     identity_index = None
@@ -278,32 +289,38 @@ def _validate_cayley(cayley):
     if identity_index is None:
         raise NoIdentity("no two-sided identity in table")
 
-    inverse_table = [None] * order
+    inverse_table = []
     for g in range(order):
-        for h in range(order):
-            if cayley[g][h] == identity_index == cayley[h][g]:
-                inverse_table[g] = h
-                break
-        if inverse_table[g] is None:
+        h = cayley[g].index(identity_index)  # the only h with g*h = e
+        if cayley[h][g] != identity_index:
             raise NoInverse(f"element {g} has no two-sided inverse", element=g)
+        inverse_table.append(h)
 
-    if order <= ASSOCIATIVITY_EXHAUSTIVE_LIMIT:
-        triples = (
-            (a, b, c)
-            for a in range(order) for b in range(order) for c in range(order)
-        )
-    else:
-        rng = random.Random(0)
-        triples = (
-            (rng.randrange(order), rng.randrange(order), rng.randrange(order))
-            for _ in range(ASSOCIATIVITY_SAMPLES)
-        )
-    for a, b, c in triples:
-        if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]]:
-            raise NotAssociative(
-                f"({a}*{b})*{c} != {a}*({b}*{c})", triple=[a, b, c])
+    generators = _greedy_generators(cayley, identity_index)
+    for g in generators:
+        row_g = cayley[g]
+        for x in range(order):
+            row_x = cayley[x]
+            left = cayley[row_x[g]]  # y -> (x g) y
+            right = list(map(row_x.__getitem__, row_g))  # y -> x (g y)
+            if left != right:
+                if order <= WITNESS_SCAN_LIMIT:
+                    triple = _first_non_associative(cayley)
+                else:
+                    triple = [x, g, next(y for y in range(order)
+                                         if left[y] != right[y])]
+                a, b, c = triple
+                raise NotAssociative(
+                    f"({a}*{b})*{c} != {a}*({b}*{c})", triple=triple)
 
-    return identity_index, inverse_table
+    return identity_index, inverse_table, generators
+
+
+def _first_non_associative(cayley):
+    order = len(cayley)
+    return next([a, b, c] for a in range(order) for b in range(order)
+                for c in range(order)
+                if cayley[cayley[a][b]][c] != cayley[a][cayley[b][c]])
 
 
 def _closure_of(cayley, identity_index, seeds):
@@ -333,20 +350,44 @@ def _greedy_generators(cayley, identity_index):
     return generators
 
 
+def _checked_table(cayley_table, labels):
+    """The table as a list of int lists, its labels checked; anything
+    else that is not a table raises SpecError."""
+    if not isinstance(cayley_table, (list, tuple)):
+        raise SpecError("a Cayley table must be a list of rows")
+    order = len(cayley_table)
+    if order > MAX_FINITE_ORDER:
+        raise UnsupportedParameter(
+            f"order {order} exceeds the supported bound {MAX_FINITE_ORDER}",
+            order=order)
+    cayley = []
+    for i, row in enumerate(cayley_table):
+        if not isinstance(row, (list, tuple)):
+            raise SpecError(f"row {i} of the Cayley table is not a list", row=i)
+        if not {int}.issuperset(map(type, row)):  # bool is not int here
+            raise SpecError(
+                f"row {i} of the Cayley table has an entry that is not an integer",
+                row=i)
+        cayley.append(list(row))
+    if labels is not None and not (
+            isinstance(labels, (list, tuple)) and len(labels) == order
+            and {str}.issuperset(map(type, labels))
+            and len(set(labels)) == order):
+        raise SpecError(f"labels must be a list of {order} distinct strings")
+    return cayley
+
+
 def make_finite_group(cayley_table, name=None, labels=None) -> Group:
     """Validate a Cayley table and wrap it as a Group.
 
     Entries are element indices; table[i][j] is the index of g_i * g_j.
-    Raises NotLatinSquare, NoIdentity, NoInverse or NotAssociative with a
+    Raises SpecError for a table that is not a list of integer lists or
+    for labels that are not one distinct string per element, and
+    NotLatinSquare, NoIdentity, NoInverse or NotAssociative with a
     witness in the payload when the table fails a group axiom.
     """
-    cayley = [list(row) for row in cayley_table]
-    if len(cayley) > MAX_FINITE_ORDER:
-        raise UnsupportedParameter(
-            f"order {len(cayley)} exceeds the supported bound {MAX_FINITE_ORDER}",
-            order=len(cayley))
-    identity_index, inverse_table = _validate_cayley(cayley)
-    generator_payloads = _greedy_generators(cayley, identity_index)
+    cayley = _checked_table(cayley_table, labels)
+    identity_index, inverse_table, generator_payloads = _validate_cayley(cayley)
     if not generator_payloads:
         generator_payloads = [identity_index]  # trivial group still needs one
     return Group(

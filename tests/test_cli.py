@@ -320,6 +320,29 @@ def test_group_from_file(tmp_path):
     assert blob["dimension"] == 0
 
 
+KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+@pytest.mark.parametrize("group_file", [
+    {"cayley": 5},
+    {"cayley": [[0, 1], 7]},
+    {"cayley": [[0, 1], [1, "x"]]},
+    {"cayley": [[0, 1], [1, 0.0]]},
+    {"cayley": [[0, 1], [True, 0]]},
+    {"cayley": KLEIN, "labels": 5},
+    {"cayley": KLEIN, "labels": ["e", "a", "b"]},
+    {"cayley": KLEIN, "labels": ["e", "a", "a", "ab"]},
+    {"cayley": KLEIN, "labels": ["e", "a", "b", 3]},
+], ids=["table-int", "row-int", "entry-str", "entry-float", "entry-bool",
+        "labels-int", "labels-short", "labels-duplicate", "labels-non-str"])
+def test_error_malformed_group_file(tmp_path, group_file):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group_file))
+    proc = run_cli("classes", "--group", f"file:{path}", check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "SpecError"
+
+
 def test_endo_from_file(tmp_path):
     path = tmp_path / "endo.json"
     path.write_text(json.dumps({"inner": "i"}))

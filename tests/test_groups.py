@@ -113,6 +113,28 @@ def test_cayley_validation_associativity():
         make_finite_group(loop)
 
 
+def _cyclic_with_switched_intercalate(n, a):
+    """The table of Z/n (n even) with the 2x2 Latin subsquare at rows and
+    columns {a, b = a + n/2} switched: still Latin, with identity and
+    inverses, but not associative."""
+    b = a + n // 2
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[a][a], table[a][b] = table[a][b], table[a][a]
+    table[b][a], table[b][b] = table[b][b], table[b][a]
+    return table
+
+
+@pytest.mark.parametrize("order", [64, 1000])
+def test_cayley_validation_switched_intercalate(order):
+    # 1*1 is now 2 + order/2, so (1*1)*2 = 4 + order/2 while 1*(1*2) = 4;
+    # the sampled check this replaced accepted the order-1000 table, and
+    # up to order 64 the triple is the first of the canonical scan
+    table = _cyclic_with_switched_intercalate(order, 1)
+    with pytest.raises(NotAssociative) as exc:
+        make_finite_group(table)
+    assert exc.value.payload == {"triple": [1, 1, 2]}
+
+
 def test_element_mismatch_between_groups():
     a = builtin_group("cyclic", 3)
     b = builtin_group("cyclic", 4)
