@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import GroupMismatch
+from .errors import GroupMismatch, SpecError
 
 
 class GaussianRational:
@@ -244,19 +244,47 @@ class AlgebraElement:
         return " + ".join(parts)
 
     def to_json(self):
-        return {"terms": [
-            {"elem": self.group.element_to_json(g),
-             "re": str(c.re), "im": str(c.im)}
-            for g, c in self.items()
-        ]}
+        return {"terms": coefficients_to_json(self.group, self.items())}
 
     @classmethod
     def from_json(cls, group, obj):
-        terms = {}
-        for entry in obj.get("terms", []):
-            g = group.element_from_json(entry["elem"])
-            c = GaussianRational.parse(entry.get("re", "0"), entry.get("im", "0"))
-            if c:
-                terms[g] = terms.get(g, ZERO) + c
-        return cls(group, terms)
+        if not isinstance(obj, dict):
+            raise SpecError(f"{obj!r} is not an algebra element: expected "
+                            "an object with a 'terms' list")
+        return cls(group, coefficients_from_json(group, obj.get("terms", [])))
+
+
+def coefficients_to_json(group, pairs):
+    """(element, coefficient) pairs as the {elem, re, im} entries that
+    algebra elements and potentials share in JSON."""
+    return [{"elem": group.element_to_json(g), "re": str(c.re), "im": str(c.im)}
+            for g, c in pairs]
+
+
+def coefficients_from_json(group, entries):
+    """Coefficients per element, summed over {elem, re, im} entries.
+
+    re and im default to 0 and are integers or rational strings such as
+    "-3/4". Anything else raises SpecError.
+    """
+    if not isinstance(entries, list):
+        raise SpecError(f"{entries!r} is not a list of {{elem, re, im}} entries")
+    out = {}
+    for entry in entries:
+        if not isinstance(entry, dict) or "elem" not in entry:
+            raise SpecError(f"{entry!r} is not an {{elem, re, im}} entry")
+        g = group.element_from_json(entry["elem"])
+        c = GaussianRational(_rational(entry.get("re", "0")),
+                             _rational(entry.get("im", "0")))
+        out[g] = out.get(g, ZERO) + c
+    return out
+
+
+def _rational(value):
+    if type(value) in (int, str):  # bool and float are refused
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecError(f"{value!r} is not an integer or a rational string")
 

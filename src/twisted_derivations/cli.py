@@ -36,7 +36,7 @@ from .groups import (
     make_endomorphism,
     make_finite_group,
 )
-from .groupoid import GroupoidView, SubgroupDescription, to_dot
+from .groupoid import GroupoidView, SubgroupDescription, center_to_json, to_dot
 from .structure import (
     heisenberg_central_family,
     structure_report,
@@ -170,6 +170,9 @@ def _partition_top(text: str, sep: str):
 
 
 def _endo_from_images(group, images: dict):
+    if not isinstance(images, dict):
+        raise SpecError(f"'images' must map generator labels to elements, "
+                        f"got {images!r}")
     generators = {group.label(g): g for g in group.generators}
     resolved = {}
     for key, value in images.items():
@@ -209,14 +212,13 @@ def _job(args, command, group, radius, extras=None):
         "sigma": args.sigma,
         "tau": args.tau,
         "radius": radius,
-        "seed": args.seed,
     }
     if extras:
         job.update(extras)
     return job
 
 
-def _report(args, job, body):
+def _report(job, body):
     report = {"tool_version": __version__, "job": job}
     report.update(body)
     return report
@@ -242,23 +244,13 @@ def _render(args, report: dict) -> str:
     return json.dumps(report, indent=2, default=str) + "\n"
 
 
-def _element_json(group, g):
-    return group.element_to_json(g)
-
-
-def _center_json(group, center):
-    if isinstance(center, SubgroupDescription):
-        return center.to_json()
-    return [_element_json(group, z) for z in center]
-
-
 def _class_body(view, cls):
     group = view.group
     return {
-        "representative": _element_json(group, cls.representative),
+        "representative": group.element_to_json(cls.representative),
         "size": len(cls.elements),
         "truncated": cls.truncated,
-        "elements": [_element_json(group, g) for g in cls.elements],
+        "elements": [group.element_to_json(g) for g in cls.elements],
     }
 
 
@@ -289,12 +281,12 @@ def cmd_centralizers(args, group, sigma, tau, radius):
 
     def entry(u):
         z = view.centralizer(u)
-        body = {"element": _element_json(group, u)}
+        body = {"element": group.element_to_json(u)}
         if isinstance(z, SubgroupDescription):
             body["centralizer"] = z.to_json()
         else:
             body["order"] = len(z)
-            body["elements"] = [_element_json(group, w) for w in z]
+            body["elements"] = [group.element_to_json(w) for w in z]
         return body
 
     if args.element is not None:
@@ -306,7 +298,7 @@ def cmd_centralizers(args, group, sigma, tau, radius):
 def cmd_center(args, group, sigma, tau, radius):
     view = GroupoidView(group, sigma, tau, radius=radius)
     center = view.center()
-    body = {"center": _center_json(group, center)}
+    body = {"center": center_to_json(group, center)}
     if not isinstance(center, SubgroupDescription):
         body["order"] = len(center)
     return body
@@ -363,7 +355,7 @@ def cmd_derivations(args, group, sigma, tau, radius):
         body["quasi_inner"] = result["quasi_inner"]
         body["loop_witness"] = (
             None if witness is None else
-            [_element_json(group, witness[0]), _element_json(group, witness[1])])
+            [group.element_to_json(witness[0]), group.element_to_json(witness[1])])
         return body
     if action == "central":
         return _cmd_central(args, group, sigma, tau, radius)
@@ -430,7 +422,7 @@ def _cmd_central(args, group, sigma, tau, radius):
         "quasi_inner": quasi["quasi_inner"],
         "loop_witness": (
             None if witness is None else
-            [_element_json(group, witness[0]), _element_json(group, witness[1])]),
+            [group.element_to_json(witness[0]), group.element_to_json(witness[1])]),
     }
 
 
@@ -469,8 +461,6 @@ def _add_common(parser, formats=("json", "text")):
                         help="id | inner:<element> | images:{...} | file:<path>")
     parser.add_argument("--radius", type=_int_at_least(0), default=None,
                         help="truncation radius for heisenberg_Z (default 4)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any sampled checks")
     parser.add_argument("--output", default=None,
                         help="write the report here instead of stdout")
     parser.add_argument("--format", choices=list(formats), default=formats[0])
@@ -561,8 +551,8 @@ def main(argv=None) -> int:
                       f"// job: {json.dumps(job, sort_keys=True)}\n")
             _emit(args, header + body)
         else:
-            report = _report(args, _job(args, args.command, group, radius,
-                                        _extras(args)), body)
+            report = _report(_job(args, args.command, group, radius,
+                                  _extras(args)), body)
             _emit(args, _render(args, report))
         return 0
     except LibraryError as exc:

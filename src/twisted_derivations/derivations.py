@@ -13,15 +13,22 @@ componentwise
 Derivations on finite groups are stored as total value tables; on the
 Heisenberg group they are either rule-backed (the inner, potential and
 central constructions all have closed forms) or generator-backed, with
-values at arbitrary elements recovered through the normal form
-g = x^a y^b z^(c - a*b).
+values at arbitrary elements folded by the product rule along the
+normal form g = x^a y^b z^(c - a*b).
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .algebra import ZERO, AlgebraElement, GaussianRational, _coerce
+from .algebra import (
+    ZERO,
+    AlgebraElement,
+    GaussianRational,
+    _coerce,
+    coefficients_from_json,
+    coefficients_to_json,
+)
 from .errors import (
     GroupMismatch,
     GroupTooLarge,
@@ -29,6 +36,7 @@ from .errors import (
     NotCentralElement,
     NotSupportedForScope,
     ScopeExceeded,
+    SpecError,
     UnsupportedParameter,
     WellDefinednessError,
 )
@@ -36,6 +44,8 @@ from .groups import twisted_class_indices
 from .linalg import FieldEliminator, IntegerRowReducer
 
 SOLVER_MAX_ORDER = 64
+# the commutator z = x y x^-1 y^-1 as (generator position, sign) letters
+Z_WORD = ((0, 1), (1, 1), (0, -1), (1, -1))
 
 
 class DerivationTable:
@@ -44,7 +54,8 @@ class DerivationTable:
     backing is one of:
       "table":     explicit dict, total on finite groups, possibly partial
                    for file-loaded Heisenberg data (ScopeExceeded on a miss)
-      "rule":      a closed-form callable, total
+      "rule":      a closed-form callable, total, on heisenberg_Z; finite
+                   groups tabulate the rule instead
       "generator": values on the group generators, extended on demand
     """
 
@@ -74,6 +85,9 @@ class DerivationTable:
 
     @classmethod
     def from_rule(cls, group, sigma, tau, rule):
+        if group.kind == "finite":
+            return cls(group, sigma, tau, "table",
+                       values={g: rule(g) for g in group.elements()})
         return cls(group, sigma, tau, "rule", rule=rule)
 
     @classmethod
@@ -96,15 +110,10 @@ class DerivationTable:
             raise UnsupportedParameter(
                 f"expected {len(group.generators)} generator values")
         table = cls(group, sigma, tau, "generator", gen_values=gen_values)
-        z_word = [(0, 1), (1, 1), (0, -1), (1, -1)]
-        for name, relator in (
-                ("[x,[x,y]]",
-                 [(0, 1)] + z_word + [(0, -1)] + _inverse_word(z_word)),
-                ("[y,[x,y]]",
-                 [(1, 1)] + z_word + [(1, -1)] + _inverse_word(z_word)),
-        ):
-            value = extend_to_word(table, relator)
-            if not value.is_zero():
+        z_inverse = [(pos, -sign) for pos, sign in reversed(Z_WORD)]
+        for pos, name in ((0, "[x,[x,y]]"), (1, "[y,[x,y]]")):
+            relator = [(pos, 1), *Z_WORD, (pos, -1), *z_inverse]
+            if not extend_to_word(table, relator).is_zero():
                 raise WellDefinednessError(
                     f"extension does not vanish on the relator {name}",
                     relation=name)
@@ -128,106 +137,76 @@ class DerivationTable:
                     f"derivation table has no value at {self.group.label(g)}",
                     element=self.group.element_to_json(g))
             return val
-        if self.backing == "rule":
-            if g not in self._memo:
-                self._memo[g] = self.rule(g)
-            return self._memo[g]
-        return self._generator_value(g)
+        memo = self._memo
+        key = g.payload
+        if key not in memo:
+            memo[key] = (self.rule(g) if self.backing == "rule"
+                         else self._normal_form_value(g))
+        return memo[key]
 
     def lam(self, h, g) -> GaussianRational:
         """The coefficient lambda(h, g) of h in D(g)."""
         return self.value(g).coefficient(h)
 
-    def _letter_value(self, pos, sign) -> AlgebraElement:
-        key = ("letter", pos, sign)
-        if key in self._memo:
-            return self._memo[key]
-        if sign > 0:
-            out = self.gen_values[pos]
-        else:
-            # D(b^-1) = -sigma(b^-1) D(b) tau(b^-1), forced by D(e) = 0
-            inv = self.group.generators[pos].inverse()
-            out = self.gen_values[pos].left_mul(self.sigma(inv)) \
-                .right_mul(self.tau(inv)).scale(-1)
-        self._memo[key] = out
-        return out
+    def _fold(self, pairs):
+        """(g1 ... gk, D(g1 ... gk)) from the pairs (gi, D(gi)).
 
-    def _power_value(self, pos, n) -> AlgebraElement:
-        """D(gen^n), built up one letter at a time and memoized."""
-        key = ("power", pos, n)
-        if key in self._memo:
-            return self._memo[key]
-        group = self.group
-        gen = group.generators[pos]
-        step = 1 if n >= 0 else -1
-        letter = gen if step > 0 else gen.inverse()
-        d_letter = self._letter_value(pos, step)
-        tau_letter = self.tau(letter)
-        k = 0
-        out = self._memo.setdefault(("power", pos, 0), AlgebraElement.zero(group))
+        The product rule D(p g) = D(p) tau(g) + sigma(p) D(g) is folded
+        from the left, starting from the first pair; the empty product
+        is e, where D vanishes.
+        """
+        pairs = iter(pairs)
+        first = next(pairs, None)
+        if first is None:
+            return self.group.identity(), AlgebraElement.zero(self.group)
+        prefix, out = first
+        for g, d in pairs:
+            out = out.right_mul(self.tau(g)) + d.left_mul(self.sigma(prefix))
+            prefix = prefix * g
+        return prefix, out
+
+    def _inverse_value(self, g, d_g) -> AlgebraElement:
+        """D(g^-1) = -sigma(g^-1) D(g) tau(g^-1), forced by D(e) = 0."""
+        g_inv = g.inverse()
+        return d_g.left_mul(self.sigma(g_inv)).right_mul(self.tau(g_inv)).scale(-1)
+
+    def _letter(self, base, sign):
+        """(b, D(b)) for b = x (base 0), y (base 1) or z = x y x^-1 y^-1
+        (base 2), or for its inverse when sign is negative."""
+        memo = self._memo
+        sign = 1 if sign > 0 else -1
+        key = ("power", base, sign)
+        if key not in memo:
+            if sign < 0:
+                b, d_b = self._letter(base, 1)
+                memo[key] = (b.inverse(), self._inverse_value(b, d_b))
+            elif base < 2:
+                memo[key] = (self.group.generators[base], self.gen_values[base])
+            else:
+                memo[key] = self._fold(self._letter(pos, s) for pos, s in Z_WORD)
+        return memo[key]
+
+    def _power(self, base, n):
+        """(b^n, D(b^n)) for n != 0, memoized per base and exponent: each
+        new power folds one letter onto the one below it."""
+        memo = self._memo
+        sign = 1 if n > 0 else -1
+        letter = self._letter(base, sign)  # the power +-1
+        k = n
+        while ("power", base, k) not in memo:
+            k -= sign
+        out = memo[("power", base, k)]
         while k != n:
-            prefix = group.power(gen, k)
-            out = out.right_mul(tau_letter) + d_letter.left_mul(self.sigma(prefix))
-            k += step
-            self._memo[("power", pos, k)] = out
+            k += sign
+            out = self._fold((out, letter))
+            memo[("power", base, k)] = out
         return out
 
-    def _z_value(self) -> AlgebraElement:
-        """D of the central generator z = x y x^-1 y^-1."""
-        if ("z",) not in self._memo:
-            group = self.group
-            d = AlgebraElement.zero(group)
-            prefix = group.identity()
-            for pos, sign in ((0, 1), (1, 1), (0, -1), (1, -1)):
-                letter = group.generators[pos]
-                if sign < 0:
-                    letter = letter.inverse()
-                d = d.right_mul(self.tau(letter)) \
-                    + self._letter_value(pos, sign).left_mul(self.sigma(prefix))
-                prefix = prefix * letter
-            self._memo[("z",)] = d
-        return self._memo[("z",)]
-
-    def _z_power_value(self, m) -> AlgebraElement:
-        key = ("zpower", m)
-        if key in self._memo:
-            return self._memo[key]
-        group = self.group
-        z = group.element((0, 0, 1))
-        d_z = self._z_value()
-        if m >= 0:
-            base, d_base, count = z, d_z, m
-        else:
-            z_inv = z.inverse()
-            d_base = d_z.left_mul(self.sigma(z_inv)).right_mul(self.tau(z_inv)).scale(-1)
-            base, count = z_inv, -m
-        out = AlgebraElement.zero(group)
-        acc = group.identity()
-        for _ in range(count):
-            out = out.right_mul(self.tau(base)) + d_base.left_mul(self.sigma(acc))
-            acc = acc * base
-        self._memo[key] = out
-        return out
-
-    def _generator_value(self, g) -> AlgebraElement:
-        if g.payload in self._memo:
-            return self._memo[g.payload]
-        group = self.group
+    def _normal_form_value(self, g) -> AlgebraElement:
+        """D(g) through the normal form g = x^a y^b z^(c - a*b)."""
         a, b, c = g.payload
-        m = c - a * b
-        x, y = group.generators
-        z = group.element((0, 0, 1))
-        d_xa = self._power_value(0, a)
-        d_yb = self._power_value(1, b)
-        d_zm = self._z_power_value(m)
-        xa = group.power(x, a)
-        yb = group.power(y, b)
-        zm = group.power(z, m)
-        # D(x^a (y^b z^m)), the inner product rule expanded first
-        d_tail = d_yb.right_mul(self.tau(zm)) + d_zm.left_mul(self.sigma(yb))
-        out = d_xa.right_mul(self.tau(yb * zm)) + d_tail.left_mul(self.sigma(xa))
-        self._memo[g.payload] = out
-        return out
+        return self._fold(self._power(base, n) for base, n
+                          in ((0, a), (1, b), (2, c - a * b)) if n)[1]
 
     # -- comparison and serialization --------------------------------------
 
@@ -260,8 +239,11 @@ class DerivationTable:
 
     @classmethod
     def from_json(cls, group, sigma, tau, obj):
+        table = obj.get("D", {})
+        if not isinstance(table, dict):
+            raise SpecError("'D' must map element keys to algebra elements")
         values = {}
-        for key, val in obj.get("D", {}).items():
+        for key, val in table.items():
             g = group.element_from_json(_parse_element_key(key))
             values[g] = AlgebraElement.from_json(group, val)
         return cls.from_table(group, sigma, tau, values)
@@ -275,13 +257,12 @@ def _element_key(group, g):
 
 def _parse_element_key(key):
     key = key.strip()
-    if key.startswith("["):
-        return [int(v) for v in key.strip("[]").split(",")]
-    return int(key)
-
-
-def _inverse_word(word):
-    return [(pos, -sign) for pos, sign in reversed(word)]
+    try:
+        if key.startswith("["):
+            return [int(v) for v in key.strip("[]").split(",")]
+        return int(key)
+    except ValueError:
+        raise SpecError(f"{key!r} is not an element index or [a,b,c] key")
 
 
 class Potential:
@@ -304,20 +285,12 @@ class Potential:
         return sorted(self.values, key=self.group.sort_key)
 
     def to_json(self):
-        return {"values": [
-            {"elem": self.group.element_to_json(g),
-             "re": str(self.values[g].re), "im": str(self.values[g].im)}
-            for g in self.support()
-        ]}
+        return {"values": coefficients_to_json(
+            self.group, [(g, self.values[g]) for g in self.support()])}
 
     @classmethod
     def from_json(cls, group, obj):
-        values = {}
-        for entry in obj.get("values", []):
-            g = group.element_from_json(entry["elem"])
-            c = GaussianRational.parse(entry.get("re", "0"), entry.get("im", "0"))
-            values[g] = values.get(g, ZERO) + c
-        return cls(group, values)
+        return cls(group, coefficients_from_json(group, obj.get("values", [])))
 
 
 class AdditiveCharacterOnG:
@@ -400,15 +373,8 @@ def check_leibniz(D: DerivationTable, pairs=None):
 
 def inner_derivation(p: AlgebraElement, sigma, tau) -> DerivationTable:
     """The inner derivation x -> p tau(x) - sigma(x) p."""
-    group = p.group
-
-    def rule(g):
-        return p.right_mul(tau(g)) - p.left_mul(sigma(g))
-
-    if group.kind == "finite":
-        return DerivationTable.from_table(
-            group, sigma, tau, {g: rule(g) for g in group.elements()})
-    return DerivationTable.from_rule(group, sigma, tau, rule)
+    return DerivationTable.from_rule(
+        p.group, sigma, tau, lambda g: p.right_mul(tau(g)) - p.left_mul(sigma(g)))
 
 
 def quasi_inner_from_potential(P: Potential, sigma, tau) -> DerivationTable:
@@ -437,9 +403,6 @@ def quasi_inner_from_potential(P: Potential, sigma, tau) -> DerivationTable:
                 terms[h] = coeff
         return AlgebraElement(group, terms)
 
-    if group.kind == "finite":
-        return DerivationTable.from_table(
-            group, sigma, tau, {g: rule(g) for g in group.elements()})
     return DerivationTable.from_rule(group, sigma, tau, rule)
 
 
@@ -478,9 +441,6 @@ def central_derivation(a, phi: AdditiveCharacterOnG, sigma, tau) -> DerivationTa
             return AlgebraElement.zero(group)
         return AlgebraElement.indicator(group, sigma(g) * a, c)
 
-    if group.kind == "finite":
-        return DerivationTable.from_table(
-            group, sigma, tau, {g: rule(g) for g in group.elements()})
     return DerivationTable.from_rule(group, sigma, tau, rule)
 
 
@@ -594,25 +554,14 @@ def derivation_space(group, sigma, tau):
 def inner_space(group, sigma, tau):
     """dim Inn = |G| - dim of the kernel {p : p tau(g) = sigma(g) p}.
 
-    The kernel condition is imposed for generators only; it then holds
-    for every group element because both sides are multiplicative in g.
+    Compared at sigma(g) u, the kernel condition reads p(sigma(g) u
+    tau(g^-1)) = p(u) for every u and g. So the kernel is exactly the
+    functions constant on the twisted classes, and its dimension is the
+    number of classes.
     """
     _require_finite_tables(group, sigma, tau)
-    n = group.order
-    cay = group.cayley
-    inv = group.inverse_table
-    reducer = IntegerRowReducer()
-    for gen in group.generators:
-        g = gen.payload
-        tau_g_inv = inv[tau.table[g]]
-        sig_g_inv = inv[sigma.table[g]]
-        for w in range(n):
-            c1 = cay[w][tau_g_inv]
-            c2 = cay[sig_g_inv][w]
-            if c1 != c2:
-                reducer.add_row({c1: 1, c2: -1})
-    kernel_dimension = n - reducer.rank
-    return {"dimension": n - kernel_dimension,
+    kernel_dimension = len(twisted_class_indices(group, sigma, tau))
+    return {"dimension": group.order - kernel_dimension,
             "kernel_dimension": kernel_dimension}
 
 
@@ -689,14 +638,4 @@ def extend_to_word(D: DerivationTable, word) -> AlgebraElement:
     if D.backing != "generator":
         raise UnsupportedParameter(
             "extend_to_word needs a generator-backed derivation")
-    group = D.group
-    out = AlgebraElement.zero(group)
-    prefix = group.identity()
-    for pos, sign in word:
-        letter = group.generators[pos]
-        if sign < 0:
-            letter = letter.inverse()
-        out = out.right_mul(D.tau(letter)) \
-            + D._letter_value(pos, sign).left_mul(D.sigma(prefix))
-        prefix = prefix * letter
-    return out
+    return D._fold(D._letter(pos, sign) for pos, sign in word)[1]

@@ -90,10 +90,6 @@ class NotADerivation(WitnessError):
     pass
 
 
-class NotLocallyFinite(WitnessError):
-    pass
-
-
 class NotCentralElement(WitnessError):
     pass
 

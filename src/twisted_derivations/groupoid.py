@@ -105,6 +105,14 @@ class SubgroupDescription:
         return f"SubgroupDescription({self.kind}; generated by {gens})"
 
 
+def center_to_json(group, center):
+    """GroupoidView.center in JSON: the closed form on heisenberg_Z, the
+    element list on finite groups."""
+    if isinstance(center, SubgroupDescription):
+        return center.to_json()
+    return [group.element_to_json(z) for z in center]
+
+
 def _gcd(a, b):
     while b:
         a, b = b, a % b

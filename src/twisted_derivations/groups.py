@@ -131,10 +131,13 @@ class Group:
                     f"{payload!r} is not an element index of {self.name}",
                     group=self.name)
             return self._elements[payload]
-        payload = tuple(int(v) for v in payload)
+        payload = tuple(payload)
         if len(payload) != 3:
             raise GroupMismatch(
                 f"{payload!r} is not a Heisenberg triple", group=self.name)
+        if not {int}.issuperset(map(type, payload)):  # bool is not int here
+            raise SpecError(
+                f"{list(payload)!r} has a coordinate that is not an integer")
         return GroupElement(self, payload)
 
     def _check(self, g: GroupElement):
@@ -237,8 +240,9 @@ class Group:
         if self.kind == "finite":
             if isinstance(obj, bool) or not isinstance(obj, int):
                 if (isinstance(obj, (list, tuple)) and len(obj) == 3
+                        and {int}.issuperset(map(type, obj))
                         and self._label_index is not None):
-                    lab = "[{},{},{}]".format(*(int(v) for v in obj))
+                    lab = "[{},{},{}]".format(*obj)
                     if lab in self._label_index:
                         return self._elements[self._label_index[lab]]
                 raise GroupMismatch(
@@ -381,11 +385,14 @@ def make_finite_group(cayley_table, name=None, labels=None) -> Group:
     """Validate a Cayley table and wrap it as a Group.
 
     Entries are element indices; table[i][j] is the index of g_i * g_j.
-    Raises SpecError for a table that is not a list of integer lists or
-    for labels that are not one distinct string per element, and
-    NotLatinSquare, NoIdentity, NoInverse or NotAssociative with a
-    witness in the payload when the table fails a group axiom.
+    Raises SpecError for a table that is not a list of integer lists,
+    for labels that are not one distinct string per element, or for a
+    name that is not a string, and NotLatinSquare, NoIdentity, NoInverse
+    or NotAssociative with a witness in the payload when the table fails
+    a group axiom.
     """
+    if name is not None and not isinstance(name, str):
+        raise SpecError(f"a group name must be a string, got {name!r}")
     cayley = _checked_table(cayley_table, labels)
     identity_index, inverse_table, generator_payloads = _validate_cayley(cayley)
     if not generator_payloads:
@@ -492,7 +499,7 @@ def builtin_group(family: str, param: int | None = None) -> Group:
 
     family is one of cyclic, dihedral, symmetric, quaternion8,
     heisenberg_mod, heisenberg_Z; param is the family parameter where one
-    applies.
+    applies, an int (a bool or float is refused with SpecError).
     """
     if family == "heisenberg_Z":
         if param is not None:
@@ -511,7 +518,10 @@ def builtin_group(family: str, param: int | None = None) -> Group:
         return make_finite_group(cayley, name="quaternion8", labels=labels)
     if param is None:
         raise UnsupportedParameter(f"{family} needs a parameter", family=family)
-    n = int(param)
+    if type(param) is not int:
+        raise SpecError(f"{family} needs an integer parameter, got {param!r}",
+                        family=family)
+    n = param
     if family == "cyclic":
         if not 1 <= n <= MAX_FINITE_ORDER:
             raise UnsupportedParameter(f"cyclic order {n} out of range", param=n)
@@ -578,17 +588,6 @@ class Endomorphism:
                 _heis_pow(self._phi_z, c - a * b))
             self._memo[p] = img
         return GroupElement(self.group, self._memo[p])
-
-    def generator_images(self):
-        return [self(g) for g in self.group.generators]
-
-    def spec_json(self):
-        if self.inner_witness is not None:
-            return {"inner": self.group.element_to_json(self.inner_witness)}
-        return {"images": {
-            self.group.label(g): self.group.element_to_json(self(g))
-            for g in self.group.generators
-        }}
 
     def __repr__(self):
         if self.inner_witness is not None:

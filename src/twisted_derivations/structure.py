@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedSubgroup,
 )
 from .groups import builtin_group
-from .groupoid import GroupoidView, SubgroupDescription
+from .groupoid import GroupoidView, SubgroupDescription, center_to_json
 
 
 def is_sigma_tau_abelian(group, sigma, tau) -> bool:
@@ -158,16 +158,12 @@ class StructureReport:
 
     def to_json(self):
         group = self.group
-        if isinstance(self.center, SubgroupDescription):
-            center_json = self.center.to_json()
-        else:
-            center_json = [group.element_to_json(z) for z in self.center]
         return {
             "group": group.name,
             "is_sigma_tau_abelian": self.is_sigma_tau_abelian,
             "is_fc": _fc_to_json(self.is_fc),
             "is_rank2_nilpotent": self.is_rank2_nilpotent,
-            "center": center_json,
+            "center": center_to_json(group, self.center),
             "class_summary": [
                 {"representative": group.element_to_json(rep), "size": size}
                 for rep, size in self.class_summary],
@@ -197,7 +193,6 @@ def structure_report(group, sigma, tau, radius=None) -> StructureReport:
             per_class.append({
                 "representative": group.element_to_json(rep),
                 "centralizer_size": len(centralizer),
-                "abelianization_rank": character_space_dimension(centralizer),
                 "char_space_dim": character_space_dimension(centralizer),
             })
     else:
@@ -210,7 +205,6 @@ def structure_report(group, sigma, tau, radius=None) -> StructureReport:
             per_class.append({
                 "representative": group.element_to_json(rep),
                 "centralizer": centralizer.to_json(),
-                "abelianization_rank": centralizer.rank,
                 "char_space_dim": character_space_dimension(centralizer),
             })
     return StructureReport(group, sigma, tau, radius, is_abelian, fc,

@@ -333,12 +333,74 @@ KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     {"cayley": KLEIN, "labels": ["e", "a", "b"]},
     {"cayley": KLEIN, "labels": ["e", "a", "a", "ab"]},
     {"cayley": KLEIN, "labels": ["e", "a", "b", 3]},
+    {"cayley": KLEIN, "name": {"a": 1}},
+    {"family": "cyclic", "param": "x"},
+    {"family": "cyclic", "param": 2.5},
+    {"family": "cyclic", "param": True},
 ], ids=["table-int", "row-int", "entry-str", "entry-float", "entry-bool",
-        "labels-int", "labels-short", "labels-duplicate", "labels-non-str"])
+        "labels-int", "labels-short", "labels-duplicate", "labels-non-str",
+        "name-dict", "param-str", "param-float", "param-bool"])
 def test_error_malformed_group_file(tmp_path, group_file):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(group_file))
     proc = run_cli("classes", "--group", f"file:{path}", check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "SpecError"
+
+
+def _terms(**entry):
+    return {"D": {"1": {"terms": [entry]}}}
+
+
+@pytest.mark.parametrize("derivation_file", [
+    {"D": []},
+    {"D": {"0": 5}},
+    {"D": {"x": {"terms": []}}},
+    _terms(elem=0, re="abc"),
+    _terms(elem=0, re="1/0"),
+    _terms(re="1"),
+], ids=["table-list", "value-int", "key-str", "re-str", "re-zero-division",
+        "term-no-elem"])
+def test_error_malformed_derivation_file(tmp_path, derivation_file):
+    path = tmp_path / "derivation.json"
+    path.write_text(json.dumps(derivation_file))
+    proc = run_cli("derivations", "check-inner", "--group", "builtin:s3",
+                   "--derivation", str(path), check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "SpecError"
+
+
+@pytest.mark.parametrize("potential_file", [
+    {"values": 5},
+    {"values": [{"elem": 0, "re": "abc"}]},
+    {"values": [{"re": "1"}]},
+], ids=["values-int", "re-str", "entry-no-elem"])
+def test_error_malformed_potential_file(tmp_path, potential_file):
+    path = tmp_path / "potential.json"
+    path.write_text(json.dumps(potential_file))
+    proc = run_cli("derivations", "quasi-inner", "--group", "builtin:s3",
+                   "--potential", str(path), check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "SpecError"
+
+
+def test_error_malformed_endomorphism_file(tmp_path):
+    path = tmp_path / "endo.json"
+    path.write_text(json.dumps({"images": 5}))
+    proc = run_cli("classes", "--group", "builtin:s3", "--sigma", f"file:{path}",
+                   check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "SpecError"
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--element", '["a",0,0]'),
+    ("--element", "[1.5,0,0]"),
+    ("--sigma", "inner:[true,0,0]"),
+], ids=["element-str", "element-float", "sigma-bool"])
+def test_error_non_integer_heisenberg_coordinate(option, value):
+    proc = run_cli("classes", "--group", "builtin:heisenberg_Z", "--radius", "1",
+                   option, value, check=False)
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "SpecError"
 
@@ -380,7 +442,3 @@ def test_repeated_runs_byte_identical():
         second = run_cli(*cmd).stdout
         assert first == second
 
-
-def test_seed_recorded_in_job():
-    blob = out_json(run_cli("classes", "--group", "builtin:s3", "--seed", "7"))
-    assert blob["job"]["seed"] == 7

@@ -5,7 +5,9 @@ rows at generators only. The reference below is the solver it replaced:
 every row (g2, g1, h) with g1, g2 != e, fed into a single reducer over
 all columns. Both must give the same basis, byte for byte, on random
 groups and random endomorphism pairs, and the dimension must match the
-dense oracle and the class count |G| - #classes.
+dense oracle and the class count |G| - #classes. inner_space counts the
+classes; it must equal the generator-row reducer it replaced, also kept
+below.
 """
 
 from functools import lru_cache
@@ -19,6 +21,7 @@ from twisted_derivations import (
     derivation_space,
     identity_endomorphism,
     inner_endomorphism,
+    inner_space,
     make_endomorphism,
     make_finite_group,
 )
@@ -148,6 +151,28 @@ def reference_space(group, sigma, tau):
     return {"dimension": n_cols - reducer.rank, "basis": basis}
 
 
+def reference_inner_space(group, sigma, tau):
+    """The replaced inner_space: the kernel {p : p tau(g) = sigma(g) p}
+    as the nullspace of the rows p(w tau(g)^-1) = p(sigma(g)^-1 w) at
+    the generators g."""
+    n = group.order
+    cay = group.cayley
+    inv = group.inverse_table
+    reducer = IntegerRowReducer()
+    for gen in group.generators:
+        g = gen.payload
+        tau_g_inv = inv[tau.table[g]]
+        sig_g_inv = inv[sigma.table[g]]
+        for w in range(n):
+            c1 = cay[w][tau_g_inv]
+            c2 = cay[sig_g_inv][w]
+            if c1 != c2:
+                reducer.add_row({c1: 1, c2: -1})
+    kernel_dimension = n - reducer.rank
+    return {"dimension": n - kernel_dimension,
+            "kernel_dimension": kernel_dimension}
+
+
 def _brute_classes(group, sigma, tau):
     """Index lists, each sorted, ordered by least index."""
     classes = {frozenset(g.payload for g in
@@ -168,6 +193,7 @@ def test_class_blocks_match_full_system(case):
     classes = _brute_classes(group, sigma, tau)
     assert twisted_class_indices(group, sigma, tau) == classes
     assert space["dimension"] == group.order - len(classes)
+    assert inner_space(group, sigma, tau) == reference_inner_space(group, sigma, tau)
 
 
 @settings(max_examples=6, deadline=None)
