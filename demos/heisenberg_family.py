@@ -2,8 +2,9 @@
 group, and why it is not quasi-inner.
 
 The group is infinite, so everything runs inside a word-metric ball.
-D is pinned down by its values on the generators x = (1,0,0) and
-y = (0,1,0); the Leibniz rule extends it to any word.
+D is the central derivation d(g) = phi(g) sigma(g) z^r of the additive
+character phi(a, b, c) = mu a + nu b. Like any derivation it is pinned
+down by its values on the generators x = (1,0,0) and y = (0,1,0).
 """
 
 from twisted_derivations import (

@@ -162,10 +162,15 @@ class AlgebraElement:
         return out
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + -other
 
     def __neg__(self):
-        return self.scale(-1)
+        # negating each coefficient is cheaper than scaling by -1, and every
+        # inner and quasi-inner derivation value is a difference
+        out = AlgebraElement.__new__(AlgebraElement)
+        out.group = self.group
+        out.terms = {g: -c for g, c in self.terms.items()}
+        return out
 
     def scale(self, c) -> "AlgebraElement":
         c = _coerce(c)
@@ -243,41 +248,34 @@ class AlgebraElement:
             parts.append(f"({c!r})*{self.group.label(g)}")
         return " + ".join(parts)
 
+    # the key of the {elem, re, im} entry list in JSON
+    json_key = "terms"
+
     def to_json(self):
-        return {"terms": coefficients_to_json(self.group, self.items())}
+        return {self.json_key: [
+            {"elem": self.group.element_to_json(g), "re": str(c.re), "im": str(c.im)}
+            for g, c in self.items()]}
 
     @classmethod
     def from_json(cls, group, obj):
+        """Coefficients summed over the {elem, re, im} entries of the list
+        at json_key; re and im default to 0 and are integers or rational
+        strings such as "-3/4". Anything else raises SpecError."""
         if not isinstance(obj, dict):
             raise SpecError(f"{obj!r} is not an algebra element: expected "
-                            "an object with a 'terms' list")
-        return cls(group, coefficients_from_json(group, obj.get("terms", [])))
-
-
-def coefficients_to_json(group, pairs):
-    """(element, coefficient) pairs as the {elem, re, im} entries that
-    algebra elements and potentials share in JSON."""
-    return [{"elem": group.element_to_json(g), "re": str(c.re), "im": str(c.im)}
-            for g, c in pairs]
-
-
-def coefficients_from_json(group, entries):
-    """Coefficients per element, summed over {elem, re, im} entries.
-
-    re and im default to 0 and are integers or rational strings such as
-    "-3/4". Anything else raises SpecError.
-    """
-    if not isinstance(entries, list):
-        raise SpecError(f"{entries!r} is not a list of {{elem, re, im}} entries")
-    out = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or "elem" not in entry:
-            raise SpecError(f"{entry!r} is not an {{elem, re, im}} entry")
-        g = group.element_from_json(entry["elem"])
-        c = GaussianRational(_rational(entry.get("re", "0")),
-                             _rational(entry.get("im", "0")))
-        out[g] = out.get(g, ZERO) + c
-    return out
+                            f"an object with a {cls.json_key!r} list")
+        entries = obj.get(cls.json_key, [])
+        if not isinstance(entries, list):
+            raise SpecError(f"{entries!r} is not a list of {{elem, re, im}} entries")
+        out = {}
+        for entry in entries:
+            if not isinstance(entry, dict) or "elem" not in entry:
+                raise SpecError(f"{entry!r} is not an {{elem, re, im}} entry")
+            g = group.element_from_json(entry["elem"])
+            c = GaussianRational(_rational(entry.get("re", "0")),
+                                 _rational(entry.get("im", "0")))
+            out[g] = out.get(g, ZERO) + c
+        return cls(group, out)
 
 
 def _rational(value):

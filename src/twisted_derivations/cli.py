@@ -367,17 +367,18 @@ def _validated_table(group, sigma, tau, path, radius):
 
     Tables arrive claiming to be derivations; a violation is a
     mathematical refutation of that claim, reported with the witness
-    pair rather than silently classified.
+    pair rather than silently classified. On heisenberg_Z the table is
+    read on the radius ball, where elements the file omits are zero.
     """
     from .errors import NotADerivation
     obj = _load_json_file(path)
     if not isinstance(obj, dict) or "D" not in obj:
         raise SpecError(f"{path} is not a derivation file: expected a 'D' table",
                         path=path)
-    D = DerivationTable.from_json(group, sigma, tau, obj)
+    scope = group.ball(radius) if group.kind == "heisenberg_Z" else ()
+    D = DerivationTable.from_json(group, sigma, tau, obj, scope=scope)
     pairs = None
     if group.kind == "heisenberg_Z":
-        scope = group.ball(radius)
         in_scope = set(scope)
         pairs = [(g2, g1) for g2 in scope for g1 in scope
                  if (g2 * g1) in in_scope]

@@ -10,11 +10,13 @@ componentwise
 
     lambda(h, g2 g1) = lambda(h tau(g1^-1), g2) + lambda(sigma(g2^-1) h, g1).
 
-Derivations on finite groups are stored as total value tables; on the
-Heisenberg group they are either rule-backed (the inner, potential and
-central constructions all have closed forms) or generator-backed, with
-values at arbitrary elements folded by the product rule along the
-normal form g = x^a y^b z^(c - a*b).
+Derivations on finite groups are stored as total value tables. On the
+Heisenberg group they are rule-backed closed forms (the coboundary
+p tau(g) - sigma(g) p of an algebra element p, which for a Potential is
+its quasi-inner derivation, and the central d(g) = phi(g) sigma(g) a),
+generator-backed, with values folded by the product rule along the
+normal form g = x^a y^b z^(c - a*b), or file tables, zero on the ball
+they were read on.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .algebra import (
     AlgebraElement,
     GaussianRational,
     _coerce,
-    coefficients_from_json,
-    coefficients_to_json,
 )
 from .errors import (
     GroupMismatch,
@@ -52,8 +52,8 @@ class DerivationTable:
     """Values of a derivation, D(g) as an AlgebraElement per element g.
 
     backing is one of:
-      "table":     explicit dict, total on finite groups, possibly partial
-                   for file-loaded Heisenberg data (ScopeExceeded on a miss)
+      "table":     explicit dict, total on finite groups; on heisenberg_Z
+                   it covers a ball and a miss raises ScopeExceeded
       "rule":      a closed-form callable, total, on heisenberg_Z; finite
                    groups tabulate the rule instead
       "generator": values on the group generators, extended on demand
@@ -238,11 +238,13 @@ class DerivationTable:
         return {"D": out}
 
     @classmethod
-    def from_json(cls, group, sigma, tau, obj):
+    def from_json(cls, group, sigma, tau, obj, scope=()):
+        """The table of a {"D": ...} object. Elements of scope that the
+        object omits are zero, as in to_json, which skips zero values."""
         table = obj.get("D", {})
         if not isinstance(table, dict):
             raise SpecError("'D' must map element keys to algebra elements")
-        values = {}
+        values = dict.fromkeys(scope, AlgebraElement.zero(group))
         for key, val in table.items():
             g = group.element_from_json(_parse_element_key(key))
             values[g] = AlgebraElement.from_json(group, val)
@@ -265,32 +267,18 @@ def _parse_element_key(key):
         raise SpecError(f"{key!r} is not an element index or [a,b,c] key")
 
 
-class Potential:
-    """A finitely supported function on group elements."""
+class Potential(AlgebraElement):
+    """A finitely supported function on group elements: the algebra
+    element sum_h P(h) h, read as a function of h."""
 
-    def __init__(self, group, values):
-        self.group = group
-        clean = {}
-        for g, c in values.items():
-            group._check(g)
-            c = _coerce(c)
-            if c:
-                clean[g] = c
-        self.values = clean
+    __slots__ = ()
 
-    def __call__(self, g) -> GaussianRational:
-        return self.values.get(g, ZERO)
+    @property
+    def values(self):
+        return self.terms
 
-    def support(self):
-        return sorted(self.values, key=self.group.sort_key)
-
-    def to_json(self):
-        return {"values": coefficients_to_json(
-            self.group, [(g, self.values[g]) for g in self.support()])}
-
-    @classmethod
-    def from_json(cls, group, obj):
-        return cls(group, coefficients_from_json(group, obj.get("values", [])))
+    __call__ = AlgebraElement.coefficient
+    json_key = "values"
 
 
 class AdditiveCharacterOnG:
@@ -329,7 +317,8 @@ class AdditiveCharacterOnG:
             return ZERO
         a, b, _c = g.payload
         mu, nu = self.gen_values
-        return a * mu + b * nu
+        # one scalar from the parts: central derivations call this per element
+        return GaussianRational(a * mu.re + b * nu.re, a * mu.im + b * nu.im)
 
     def is_zero(self):
         return not any(self.gen_values)
@@ -378,32 +367,13 @@ def inner_derivation(p: AlgebraElement, sigma, tau) -> DerivationTable:
 
 
 def quasi_inner_from_potential(P: Potential, sigma, tau) -> DerivationTable:
-    """D(g) = sum_h (P(h tau(g^-1)) - P(sigma(g^-1) h)) h.
+    """The coboundary of P: D(g) = sum_h (P(h tau(g^-1)) - P(sigma(g^-1) h)) h.
 
-    The associated character is chi(u, v) = P(target) - P(source), which
-    is additive on composable morphisms and vanishes on loops, so the
-    result is quasi-inner by construction.
+    That is inner_derivation(P). The associated character is chi(u, v) =
+    P(target) - P(source), which is additive on composable morphisms and
+    vanishes on loops, so the result is quasi-inner by construction.
     """
-    group = P.group
-
-    def rule(g):
-        g_inv = g.inverse()
-        tau_g = tau(g)
-        sigma_g = sigma(g)
-        tau_g_inv = tau(g_inv)
-        sigma_g_inv = sigma(g_inv)
-        candidates = set()
-        for w in P.values:
-            candidates.add(w * tau_g)      # h with h tau(g^-1) = w
-            candidates.add(sigma_g * w)    # h with sigma(g^-1) h = w
-        terms = {}
-        for h in candidates:
-            coeff = P(h * tau_g_inv) - P(sigma_g_inv * h)
-            if coeff:
-                terms[h] = coeff
-        return AlgebraElement(group, terms)
-
-    return DerivationTable.from_rule(group, sigma, tau, rule)
+    return inner_derivation(P, sigma, tau)
 
 
 def is_sigma_tau_central(a, sigma, tau, witnesses=None):

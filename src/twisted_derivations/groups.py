@@ -499,7 +499,8 @@ def builtin_group(family: str, param: int | None = None) -> Group:
 
     family is one of cyclic, dihedral, symmetric, quaternion8,
     heisenberg_mod, heisenberg_Z; param is the family parameter where one
-    applies, an int (a bool or float is refused with SpecError).
+    applies (None or 8 for quaternion8), an int (a bool, float or string
+    is refused with SpecError).
     """
     if family == "heisenberg_Z":
         if param is not None:
@@ -511,6 +512,9 @@ def builtin_group(family: str, param: int | None = None) -> Group:
             _HEISENBERG_Z = Group("heisenberg_Z", "heisenberg_Z",
                                   generator_payloads=[(1, 0, 0), (0, 1, 0)])
         return _HEISENBERG_Z
+    if param is not None and type(param) is not int:
+        raise SpecError(f"{family} needs an integer parameter, got {param!r}",
+                        family=family)
     if family == "quaternion8":
         if param is not None and param != 8:
             raise UnsupportedParameter("quaternion8 takes no parameter", param=param)
@@ -518,9 +522,6 @@ def builtin_group(family: str, param: int | None = None) -> Group:
         return make_finite_group(cayley, name="quaternion8", labels=labels)
     if param is None:
         raise UnsupportedParameter(f"{family} needs a parameter", family=family)
-    if type(param) is not int:
-        raise SpecError(f"{family} needs an integer parameter, got {param!r}",
-                        family=family)
     n = param
     if family == "cyclic":
         if not 1 <= n <= MAX_FINITE_ORDER:

@@ -12,9 +12,10 @@ comparison is exactly the statement that every derivation is inner.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement
 from .derivations import (
+    AdditiveCharacterOnG,
     DerivationTable,
+    central_derivation,
     derivation_space,
     inner_space,
     is_inner,
@@ -258,20 +259,17 @@ def verify_decomposition(group, sigma, tau) -> dict:
 def heisenberg_central_family(params, mu, nu, r, group=None) -> DerivationTable:
     """The central-derivation family on heisenberg_Z.
 
-    For the inner pair determined by params, the element z^r is twisted
-    central and (a, b, c) -> mu*a + nu*b is an additive character, which
-    together give
+    For the inner pair determined by params, z^r is (sigma, tau)-central
+    (sigma and tau agree pointwise and z is central) and phi(a, b, c) =
+    mu a + nu b is an additive character, so the member is the central
+    derivation central_derivation(z^r, phi):
 
         d(g) = (mu g_a + nu g_b) (g_a, g_b, g_c + sigma_a g_b - sigma_b g_a + r).
 
-    The table is generator-backed: it stores d(x) and d(y) and extends
-    through the product rule, so evaluation is exact at any element.
+    It is rule-backed, so evaluation is exact at any element.
     """
     if group is None:
         group = builtin_group("heisenberg_Z")
     sigma, tau = params.endomorphisms(group)
-    dx = AlgebraElement.indicator(
-        group, group.element((1, 0, r - params.sigma_b)), mu)
-    dy = AlgebraElement.indicator(
-        group, group.element((0, 1, params.sigma_a + r)), nu)
-    return DerivationTable.from_generator_values(group, sigma, tau, [dx, dy])
+    return central_derivation(group.element((0, 0, r)),
+                              AdditiveCharacterOnG(group, [mu, nu]), sigma, tau)

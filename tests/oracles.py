@@ -112,3 +112,16 @@ def brute_ordinary_classes(group):
         seen |= cls
         classes.append(cls)
     return classes
+
+
+def central_family_generator_values(group, params, mu, nu, r):
+    """[d(x), d(y)] of the Heisenberg central family, written out by hand
+    from d(g) = (mu g_a + nu g_b) (g_a, g_b, g_c + sigma_a g_b - sigma_b g_a
+    + r): d(x) = mu (1, 0, r - sigma_b) and d(y) = nu (0, 1, sigma_a + r).
+    Fed to DerivationTable.from_generator_values, they give the family
+    through the product-rule fold instead of its closed form."""
+    from twisted_derivations import AlgebraElement
+    return [
+        AlgebraElement.indicator(group, group.element((1, 0, r - params.sigma_b)), mu),
+        AlgebraElement.indicator(group, group.element((0, 1, params.sigma_a + r)), nu),
+    ]

@@ -153,6 +153,35 @@ def test_quasi_inner_from_potential(tmp_path):
     assert blob["loop_witness"] is None
 
 
+def test_heisenberg_derivation_round_trip(tmp_path):
+    # the printed table skips zero values; read back on the same ball,
+    # the omitted elements are zero and the table is a derivation again
+    potential = tmp_path / "p.json"
+    potential.write_text(json.dumps(
+        {"values": [{"elem": [1, 0, 0], "re": "1"},
+                    {"elem": [0, 1, 1], "re": "-2", "im": "1/3"}]}))
+    common = ("--group", "builtin:heisenberg_Z", "--sigma", "inner:[1,0,0]",
+              "--radius", "2")
+    blob = out_json(run_cli("derivations", "quasi-inner", *common,
+                            "--potential", str(potential)))
+    table = blob["derivation"]
+    assert "[0,0,0]" not in table["D"]
+    derivation = tmp_path / "d.json"
+    derivation.write_text(json.dumps(table))
+    back = out_json(run_cli("derivations", "quasi-inner", *common,
+                            "--derivation", str(derivation)))
+    assert back["quasi_inner"] is True
+    assert back["loop_witness"] is None
+
+    key = sorted(table["D"])[0]
+    table["D"][key]["terms"][0]["re"] = "5/7"
+    derivation.write_text(json.dumps(table))
+    proc = run_cli("derivations", "quasi-inner", *common,
+                   "--derivation", str(derivation), check=False)
+    assert proc.returncode == 4
+    assert json.loads(proc.stderr)["error"] == "NotADerivation"
+
+
 def test_central_family_report():
     blob = out_json(
         run_cli(
@@ -337,9 +366,13 @@ KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     {"family": "cyclic", "param": "x"},
     {"family": "cyclic", "param": 2.5},
     {"family": "cyclic", "param": True},
+    {"family": "quaternion8", "param": 8.0},
+    {"family": "quaternion8", "param": "8"},
+    {"family": "quaternion8", "param": True},
 ], ids=["table-int", "row-int", "entry-str", "entry-float", "entry-bool",
         "labels-int", "labels-short", "labels-duplicate", "labels-non-str",
-        "name-dict", "param-str", "param-float", "param-bool"])
+        "name-dict", "param-str", "param-float", "param-bool",
+        "q8-param-float", "q8-param-str", "q8-param-bool"])
 def test_error_malformed_group_file(tmp_path, group_file):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(group_file))

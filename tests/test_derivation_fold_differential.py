@@ -27,11 +27,12 @@ from twisted_derivations import (
     WellDefinednessError,
     builtin_group,
     extend_to_word,
-    heisenberg_central_family,
     identity_endomorphism,
     inner_endomorphism,
     make_endomorphism,
 )
+
+import oracles
 
 GROUP = builtin_group("heisenberg_Z")
 SMALL = st.integers(-3, 3)
@@ -203,8 +204,10 @@ def cases(draw):
     kind = draw(st.sampled_from(("central", "identity", "unchecked")))
     if kind == "central":
         params = HeisenbergParams(*(draw(SMALL) for _ in range(4)))
-        D = heisenberg_central_family(params, draw(SMALL), draw(SMALL),
-                                      draw(SMALL), group=GROUP)
+        sigma, tau = params.endomorphisms(GROUP)
+        values = oracles.central_family_generator_values(
+            GROUP, params, draw(SMALL), draw(SMALL), draw(SMALL))
+        D = DerivationTable.from_generator_values(GROUP, sigma, tau, values)
         return D, Reference(D), True
     if kind == "identity":
         sigma, tau, values = draw(identity_pair_values())

@@ -13,6 +13,7 @@ from twisted_derivations import (
     NotAHomomorphismToC,
     NotCentralElement,
     Potential,
+    ScopeExceeded,
     WellDefinednessError,
     builtin_group,
     central_derivation,
@@ -291,15 +292,19 @@ def test_zero_character_gives_zero_derivation():
 
 
 def test_central_family_matches_central_derivation():
-    # the family construction and the generic central construction agree
+    # the family, the generic central construction, and the product-rule
+    # fold from the family's hand-written generator values agree
     g = builtin_group("heisenberg_Z")
     params = HeisenbergParams(2, 3, 0, 1)
     sigma, tau = params.endomorphisms(g)
     family = heisenberg_central_family(params, mu=1, nu=-1, r=4, group=g)
     phi = AdditiveCharacterOnG(g, (1, -1))
     direct = central_derivation(g.element((0, 0, 4)), phi, sigma, tau)
+    fold = DerivationTable.from_generator_values(
+        g, sigma, tau, oracles.central_family_generator_values(g, params, 1, -1, 4))
+    assert fold.backing == "generator"
     for x in g.ball(3):
-        assert family.value(x) == direct.value(x)
+        assert family.value(x) == direct.value(x) == fold.value(x)
 
 
 def test_central_family_zero_parameters():
@@ -328,7 +333,8 @@ def test_extend_to_word_well_defined():
     g = builtin_group("heisenberg_Z")
     params = HeisenbergParams(1, 1, 0, 0)
     sigma, tau = params.endomorphisms(g)
-    D = heisenberg_central_family(params, mu=1, nu=1, r=0, group=g)
+    D = DerivationTable.from_generator_values(
+        g, sigma, tau, oracles.central_family_generator_values(g, params, 1, 1, 0))
     # two words for x y: direct, and x y (x^-1 x)
     w1 = [(0, 1), (1, 1)]
     w2 = [(0, 1), (1, 1), (0, -1), (0, 1)]
@@ -371,6 +377,21 @@ def test_derivation_json_round_trip():
     back = DerivationTable.from_json(g, sigma, tau, blob)
     for x in g.elements():
         assert back.value(x) == D.value(x)
+
+
+def test_heisenberg_table_is_zero_on_its_ball():
+    g = builtin_group("heisenberg_Z")
+    e = identity_endomorphism(g)
+    x = g.element((1, 0, 0))
+    blob = {"D": {"[1,0,0]": AlgebraElement.indicator(g, x, 3).to_json()}}
+    D = DerivationTable.from_json(g, e, e, blob, scope=g.ball(1))
+    assert D.value(x) == AlgebraElement.indicator(g, x, 3)
+    assert D.value(g.identity()).is_zero()
+    assert D.value(g.element((0, -1, 0))).is_zero()
+    with pytest.raises(ScopeExceeded):
+        D.value(g.element((2, 0, 0)))
+    with pytest.raises(ScopeExceeded):
+        DerivationTable.from_json(g, e, e, blob).value(g.identity())
 
 
 def test_potential_json_round_trip():

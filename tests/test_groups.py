@@ -83,6 +83,9 @@ def test_builtin_parameter_validation():
         builtin_group("heisenberg_Z", 3)
     with pytest.raises(UnsupportedParameter):
         builtin_group("cyclic", 5000)
+    with pytest.raises(UnsupportedParameter):
+        builtin_group("quaternion8", 4)
+    assert builtin_group("quaternion8", 8).order == 8
 
 
 def test_cayley_validation_latin():
