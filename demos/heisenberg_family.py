@@ -13,6 +13,7 @@ from twisted_derivations import (
     check_leibniz,
     heisenberg_central_family,
     is_quasi_inner,
+    leibniz_pairs,
 )
 
 G = builtin_group("heisenberg_Z")
@@ -28,8 +29,8 @@ print(f"D((1,0,5)) = {D.value(G.element((1, 0, 5)))}")
 
 # Leibniz holds on every pair the truncation can see
 ball = G.ball(3)
-pairs = [(a, b) for a in ball for b in ball]
-report = check_leibniz(D, pairs=pairs)
+pairs = leibniz_pairs(D, ball)  # a closed form: every pair of the ball
+report = check_leibniz(D, pairs)
 print(f"leibniz on {len(pairs)} ball-3 pairs: {report['ok']}")
 assert report["ok"]
 

@@ -92,7 +92,6 @@ def _coerce(value):
 
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 
 
 class AlgebraElement:

@@ -25,10 +25,12 @@ from .derivations import (
     inner_space,
     is_inner,
     is_quasi_inner,
+    leibniz_pairs,
     quasi_inner_from_potential,
 )
-from .errors import LibraryError, SpecError, UnsupportedParameter
+from .errors import LibraryError, NotADerivation, SpecError, UnsupportedParameter
 from .groups import (
+    DEFAULT_RADIUS,
     HeisenbergParams,
     builtin_group,
     identity_endomorphism,
@@ -42,8 +44,6 @@ from .structure import (
     structure_report,
     verify_decomposition,
 )
-
-DEFAULT_RADIUS = 4
 
 _ALIASES = {
     "trivial": ("cyclic", 1),
@@ -191,16 +191,12 @@ def _endo_from_images(group, images: dict):
 
 
 def _resolve_radius(group, args, command):
+    # the radius the job reports, none on a finite group; exports are
+    # size-sensitive, so Group.ball refuses a heisenberg_Z one without it
     if group.kind == "finite":
         return None
-    if args.radius is not None:
+    if args.radius is not None or command == "groupoid-export":
         return args.radius
-    if command == "groupoid-export":
-        # exports are size-sensitive; make the truncation an explicit choice
-        from .errors import NotSupportedForScope
-        raise NotSupportedForScope(
-            "groupoid-export on heisenberg_Z needs an explicit --radius",
-            group=group.name)
     return DEFAULT_RADIUS
 
 
@@ -334,7 +330,7 @@ def cmd_derivations(args, group, sigma, tau, radius):
     if action == "verify-decomposition":
         return verify_decomposition(group, sigma, tau)
     if action == "quasi-inner":
-        scope = group.ball(radius) if group.kind == "heisenberg_Z" else None
+        scope = group.ball(radius)
         if args.potential:
             blob = _load_json_file(args.potential)
             if not isinstance(blob, dict) or "values" not in blob:
@@ -370,19 +366,13 @@ def _validated_table(group, sigma, tau, path, radius):
     pair rather than silently classified. On heisenberg_Z the table is
     read on the radius ball, where elements the file omits are zero.
     """
-    from .errors import NotADerivation
     obj = _load_json_file(path)
     if not isinstance(obj, dict) or "D" not in obj:
         raise SpecError(f"{path} is not a derivation file: expected a 'D' table",
                         path=path)
-    scope = group.ball(radius) if group.kind == "heisenberg_Z" else ()
+    scope = group.ball(radius)
     D = DerivationTable.from_json(group, sigma, tau, obj, scope=scope)
-    pairs = None
-    if group.kind == "heisenberg_Z":
-        in_scope = set(scope)
-        pairs = [(g2, g1) for g2 in scope for g1 in scope
-                 if (g2 * g1) in in_scope]
-    leibniz = check_leibniz(D, pairs=pairs)
+    leibniz = check_leibniz(D, leibniz_pairs(D, scope))
     if not leibniz["ok"]:
         g2, g1, _lhs, _rhs = leibniz["violations"][0]
         raise NotADerivation(
@@ -408,8 +398,8 @@ def _cmd_central(args, group, sigma, tau, radius):
     params = HeisenbergParams(sigma_a, sigma_b, sigma_c, tau_c)
     D = heisenberg_central_family(params, args.mu, args.nu, args.r, group=group)
     ball = group.ball(args.check_radius)
-    pairs = [(g2, g1) for g2 in ball for g1 in ball]
-    leibniz = check_leibniz(D, pairs=pairs)
+    pairs = leibniz_pairs(D, ball)
+    leibniz = check_leibniz(D, pairs)
     quasi = is_quasi_inner(D, scope=ball)
     witness = quasi["loop_witness"]
     return {

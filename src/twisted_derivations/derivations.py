@@ -218,20 +218,13 @@ class DerivationTable:
             return NotImplemented
         if self.group is not other.group:
             return False
-        if self.group.kind != "finite":
-            raise NotSupportedForScope(
-                "compare infinite-group derivations with agrees_with(scope)")
-        return self.agrees_with(other, self.group.elements())
+        return self.agrees_with(other, self.group.ball(None))
 
     def to_json(self, scope=None):
+        """{"D": the nonzero values on scope}, by default group.ball(None)."""
         group = self.group
-        if scope is None:
-            if group.kind != "finite":
-                raise NotSupportedForScope(
-                    "serializing needs a scope on infinite groups")
-            scope = group.elements()
         out = {}
-        for g in scope:
+        for g in group.ball(None) if scope is None else scope:
             val = self.value(g)
             if not val.is_zero():
                 out[_element_key(group, g)] = val.to_json()
@@ -334,30 +327,58 @@ def _element_order(group, g):
     return n
 
 
+def leibniz_pairs(D: DerivationTable, scope):
+    """The pairs (g2, g1) of scope = group.ball(radius) that check_leibniz
+    reads for D: None on a finite group (the generator pairs prove every
+    pair); on heisenberg_Z every pair for a closed form, and for a table
+    read on the ball the pairs whose product stays in it.
+    """
+    if D.group.kind == "finite":
+        return None
+    if D.backing != "table":
+        return [(g2, g1) for g2 in scope for g1 in scope]
+    in_scope = set(scope)
+    return [(g2, g1) for g2 in scope for g1 in scope if g2 * g1 in in_scope]
+
+
 def check_leibniz(D: DerivationTable, pairs=None):
     """Exact check of D(g2 g1) = D(g2) tau(g1) + sigma(g2) D(g1).
 
-    pairs defaults to all |G|^2 pairs on finite groups; infinite groups
-    need an explicit iterable of (g2, g1). Returns {"ok": True} or
-    {"ok": False, "violations": [(g2, g1, lhs, rhs), ...]}.
+    pairs lists the (g2, g1) to check, as leibniz_pairs gives them. None
+    means every pair of group.ball(None), a finite group, where the pairs
+    (g2, s) for generators s prove the rule. At (e, s) it reads
+    D(e) tau(s) = 0, so D(e) = 0, which is the rule at every (g2, e).
+    If it holds at (g2, w) for every g2, expanding D((g2 w) s) by the
+    rule at (g2 w, s), then D(g2 w) by the rule at (g2, w), and
+    collecting D(w) tau(s) + sigma(w) D(s) into D(w s) by the rule at
+    (w, s), gives it at (g2, w s). By induction it holds at (g2, w) for
+    every positive word w, and in a finite group every element is one.
+    All pairs are scanned only when that proof fails.
+
+    Returns {"ok": True, "violations": []} or {"ok": False, "violations":
+    [(g2, g1, lhs, rhs)]}: the first violation in the order of pairs, or
+    in canonical order (g2 first) when pairs is None.
     """
     group = D.group
-    if pairs is None:
-        if group.kind != "finite":
-            raise NotSupportedForScope(
-                "pass explicit pairs to check an infinite-group derivation")
-        elems = group.elements()
-        pairs = product(elems, elems)
     sigma, tau = D.sigma, D.tau
-    violations = []
-    for g2, g1 in pairs:
-        lhs = D.value(g2 * g1)
-        rhs = D.value(g2).right_mul(tau(g1)) + D.value(g1).left_mul(sigma(g2))
-        if lhs != rhs:
-            violations.append((g2, g1, lhs, rhs))
-    if violations:
-        return {"ok": False, "violations": violations}
-    return {"ok": True, "violations": []}
+
+    def first_violation(pairs):
+        for g2, g1 in pairs:
+            lhs = D.value(g2 * g1)
+            rhs = D.value(g2).right_mul(tau(g1)) + D.value(g1).left_mul(sigma(g2))
+            if lhs != rhs:
+                return g2, g1, lhs, rhs
+        return None
+
+    if pairs is None:
+        elems = group.ball(None)
+        if first_violation(product(elems, group.generators)) is None:
+            return {"ok": True, "violations": []}
+        pairs = product(elems, elems)
+    violation = first_violation(pairs)
+    if violation is None:
+        return {"ok": True, "violations": []}
+    return {"ok": False, "violations": [violation]}
 
 
 def inner_derivation(p: AlgebraElement, sigma, tau) -> DerivationTable:
@@ -376,16 +397,15 @@ def quasi_inner_from_potential(P: Potential, sigma, tau) -> DerivationTable:
     return inner_derivation(P, sigma, tau)
 
 
-def is_sigma_tau_central(a, sigma, tau, witnesses=None):
+def is_sigma_tau_central(a, sigma, tau):
     """Does a tau(v) = sigma(v) a hold for all v?
 
-    witnesses defaults to the whole group when finite and to the
-    generators on heisenberg_Z, where the generator check suffices
-    because both sides are multiplicative in v.
+    v runs over the whole group when finite and over the generators on
+    heisenberg_Z, where the generator check suffices because both sides
+    are multiplicative in v.
     """
     group = a.group
-    if witnesses is None:
-        witnesses = group.elements() if group.kind == "finite" else group.generators
+    witnesses = group.elements() if group.kind == "finite" else group.generators
     for v in witnesses:
         if a * tau(v) != sigma(v) * a:
             return False, v
@@ -431,14 +451,9 @@ def derivation_space(group, sigma, tau):
 
     Two facts shrink the system without changing its solutions.
 
-    Generator rows suffice. Suppose the rule holds at (g2, s) for every
-    g2 and every generator s. If it also holds at (g2, w) for every g2,
-    then expanding D((g2 w) s) by the rule at (g2 w, s), then D(g2 w)
-    by the rule at (g2, w), and collecting D(w) tau(s) + sigma(w) D(s)
-    into D(w s) by the rule at (w, s), gives the rule at (g2, w s). By
-    induction on word length, starting from D(e) = 0, it holds at
-    (g2, w) for every positive word w, and in a finite group every
-    element is one. So only the rows (g2, s) are fed.
+    Generator rows suffice: the rule at the pairs (g2, s) for generators
+    s proves it at every pair (see check_leibniz). So only the rows
+    (g2, s) are fed.
 
     The system is block diagonal by twisted class. The unknown
     lambda(h, g) is the morphism (h, g) of the action groupoid (see
@@ -576,16 +591,10 @@ def is_quasi_inner(D: DerivationTable, scope=None):
 
     A pair (h, g) is a loop exactly when sigma(g^-1) h = h tau(g^-1).
     Only the support of D can land on loops, so the scan runs over scope
-    elements g and the support of D(g).
+    elements g, by default group.ball(None), and the support of D(g).
     """
-    group = D.group
-    if scope is None:
-        if group.kind != "finite":
-            raise NotSupportedForScope(
-                "pass a scope (a ball) for infinite groups")
-        scope = group.elements()
     sigma, tau = D.sigma, D.tau
-    for g in scope:
+    for g in D.group.ball(None) if scope is None else scope:
         g_inv = g.inverse()
         s = sigma(g_inv)
         t = tau(g_inv)

@@ -19,8 +19,15 @@ its twisted centralizer.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .algebra import ZERO, AlgebraElement, GaussianRational
-from .derivations import DerivationTable, check_leibniz, is_sigma_tau_central
+from .derivations import (
+    DerivationTable,
+    check_leibniz,
+    is_sigma_tau_central,
+    leibniz_pairs,
+)
 from .errors import (
     NotADerivation,
     NotComposable,
@@ -113,17 +120,11 @@ def center_to_json(group, center):
     return [group.element_to_json(z) for z in center]
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 class GroupoidView:
     """Immutable query object for the groupoid of (G, sigma, tau).
 
-    Finite groups use the full element list as scope; heisenberg_Z needs
-    a truncation radius and works over the ball.
+    Its scope is group.ball(radius): a finite group's elements, or the
+    heisenberg_Z ball, which needs a radius.
     """
 
     def __init__(self, group, sigma, tau, radius=None):
@@ -131,14 +132,7 @@ class GroupoidView:
         self.sigma = sigma
         self.tau = tau
         self.radius = radius
-        if group.kind == "finite":
-            self._scope = group.elements()
-        else:
-            if radius is None:
-                raise NotSupportedForScope(
-                    f"{group.name} is infinite; a truncation radius is required",
-                    group=group.name)
-            self._scope = group.ball(radius)
+        self._scope = group.ball(radius)
         self._moves = None
 
     def objects(self):
@@ -306,7 +300,7 @@ class GroupoidView:
                 group, [], [group.element((1, 0, 0)), group.element((0, 1, 0)),
                             z_gen],
                 rank=2, kind="heisenberg_full")
-        d = _gcd(alpha, beta)
+        d = gcd(alpha, beta)
         direction = group.element((beta // d, -alpha // d, 0))
         return SubgroupDescription(
             group, [(alpha, beta)], [direction, z_gen],
@@ -366,12 +360,12 @@ def character_from_derivation(view: GroupoidView, D: DerivationTable) -> Charact
     """Psi: the character chi(h, g) = lambda(h, g).
 
     Additivity on composable pairs is equivalent to the componentwise
-    Leibniz rule, which is verified over the view's scope before the
-    character is returned; a violation raises NotADerivation with the
-    offending pair.
+    Leibniz rule, which is verified on leibniz_pairs of the view's scope
+    before the character is returned; a violation raises NotADerivation
+    with the offending pair.
     """
     scope = view.objects()
-    result = check_leibniz(D, pairs=[(g2, g1) for g2 in scope for g1 in scope])
+    result = check_leibniz(D, leibniz_pairs(D, scope))
     if not result["ok"]:
         g2, g1, _lhs, _rhs = result["violations"][0]
         raise NotADerivation(

@@ -25,7 +25,7 @@ from .errors import (
     NotSupportedForScope,
     UnsupportedSubgroup,
 )
-from .groups import builtin_group
+from .groups import DEFAULT_RADIUS, builtin_group
 from .groupoid import GroupoidView, SubgroupDescription, center_to_json
 
 
@@ -49,7 +49,7 @@ def is_sigma_tau_abelian(group, sigma, tau) -> bool:
     return False
 
 
-def is_fc(group, sigma, tau, radius=None):
+def is_fc(group, sigma, tau, radius=DEFAULT_RADIUS):
     """Whether every twisted class is finite: True, False, or
     "truncated-unknown".
 
@@ -61,8 +61,6 @@ def is_fc(group, sigma, tau, radius=None):
     """
     if group.kind == "finite":
         return True
-    if radius is None:
-        radius = 4
     view = GroupoidView(group, sigma, tau, radius=radius)
     for a in group.ball(min(radius, 2)):
         if view.conjugacy_class(a).truncated:

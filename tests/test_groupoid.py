@@ -18,7 +18,12 @@ from twisted_derivations import (
     quasi_inner_from_potential,
     to_dot,
 )
-from twisted_derivations import AlgebraElement, GaussianRational, Potential
+from twisted_derivations import (
+    AlgebraElement,
+    DerivationTable,
+    GaussianRational,
+    Potential,
+)
 
 import oracles
 
@@ -253,6 +258,28 @@ def test_character_rejects_non_derivation():
     with pytest.raises(NotADerivation) as err:
         character_from_derivation(view, D)
     assert err.value.payload.get("witness")
+
+
+def test_character_from_heisenberg_ball_table():
+    # a table read on the ball has no values outside it, so additivity is
+    # checked on the pairs whose product stays in the ball
+    g = builtin_group("heisenberg_Z")
+    sigma = inner_endomorphism(g, g.element((1, 0, 0)))
+    tau = inner_endomorphism(g, g.element((0, 1, 0)))
+    P = Potential(g, {g.element((1, 0, 0)): GaussianRational(1),
+                      g.element((0, 1, 1)): GaussianRational(2, 1)})
+    D = quasi_inner_from_potential(P, sigma, tau)
+    view = GroupoidView(g, sigma, tau, radius=2)
+    ball = view.objects()
+    table = DerivationTable.from_json(g, sigma, tau, D.to_json(scope=ball),
+                                      scope=ball)
+    chi = character_from_derivation(view, table)
+    assert chi.values == character_from_derivation(view, D).values
+    values = {x: table.value(x) for x in ball}
+    values[g.element((1, 0, 0))] = AlgebraElement.zero(g)
+    with pytest.raises(NotADerivation):
+        character_from_derivation(
+            view, DerivationTable.from_table(g, sigma, tau, values))
 
 
 def test_quasi_inner_character_vanishes_on_loops():

@@ -10,6 +10,7 @@ from twisted_derivations import (
     NotAHomomorphism,
     NotAssociative,
     NotLatinSquare,
+    NotSupportedForScope,
     UnsupportedParameter,
     all_automorphisms,
     builtin_group,
@@ -191,6 +192,14 @@ def test_heisenberg_ball_products_stay_in_double_ball():
     for a in b2:
         for b in b2:
             assert a * b in b4
+
+
+def test_ball_without_radius():
+    # a finite group is its own scope; heisenberg_Z refuses a missing radius
+    g = builtin_group("symmetric", 3)
+    assert g.ball(None) == g.elements()
+    with pytest.raises(NotSupportedForScope):
+        builtin_group("heisenberg_Z").ball(None)
 
 
 def test_heisenberg_ball_is_deterministic():

@@ -1,0 +1,200 @@
+"""Differential tests for the one Leibniz check and its pair lists.
+
+check_leibniz proves the rule on a finite group from the generator pairs
+(g2, s) and scans every pair only to name the first violation; it stops
+at the first violation on explicit pairs too. leibniz_pairs builds those
+pairs. The references below are the code they replaced, kept in the
+test: the check that scanned every pair and kept every violation, and
+the three pair lists built by hand, in cli._validated_table (None on a
+finite group, the pairs whose product stays in the ball on heisenberg_Z),
+cli._cmd_central and groupoid.character_from_derivation (every pair of
+the scope).
+
+ok, the first violation and the pairs must equal the references on
+finite builtins of order <= 24, with sigma and tau drawn from the
+identity, inner maps and random generator images (non-injective ones
+included), for inner-derivation tables, some perturbed at a random
+(g, h), some with D(e) != 0 and some perturbed on a coset of the first
+generator, which only another generator refutes; and on heisenberg_Z balls of radius <= 3
+for rule-backed derivations and for ball tables read back through
+from_json, some perturbed.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twisted_derivations import (
+    AlgebraElement,
+    DerivationTable,
+    GaussianRational,
+    HeisenbergParams,
+    builtin_group,
+    check_leibniz,
+    heisenberg_central_family,
+    identity_endomorphism,
+    inner_derivation,
+    leibniz_pairs,
+)
+
+from test_closed_forms_differential import (
+    FINITE,
+    HEISENBERG,
+    SMALL,
+    _finite,
+    finite_endomorphisms,
+    heisenberg_endomorphisms,
+)
+
+
+def reference_check_leibniz(D, pairs=None):
+    """The replaced check: every pair (all |G|^2 when pairs is None),
+    every violation kept."""
+    if pairs is None:
+        elems = D.group.elements()
+        pairs = product(elems, elems)
+    violations = []
+    for g2, g1 in pairs:
+        lhs = D.value(g2 * g1)
+        rhs = D.value(g2).right_mul(D.tau(g1)) + D.value(g1).left_mul(D.sigma(g2))
+        if lhs != rhs:
+            violations.append((g2, g1, lhs, rhs))
+    return {"ok": not violations, "violations": violations}
+
+
+def validated_table_pairs(group, scope):
+    """The pairs cli._validated_table built for a derivation file."""
+    if group.kind != "heisenberg_Z":
+        return None
+    in_scope = set(scope)
+    return [(g2, g1) for g2 in scope for g1 in scope if (g2 * g1) in in_scope]
+
+
+def all_pairs(scope):
+    """The pairs cli._cmd_central and character_from_derivation built."""
+    return [(g2, g1) for g2 in scope for g1 in scope]
+
+
+def _scalar(draw):
+    return GaussianRational(Fraction(draw(SMALL), draw(st.integers(1, 3))),
+                            draw(SMALL))
+
+
+def _algebra_element(draw, group, support):
+    return AlgebraElement(group, {
+        h: _scalar(draw)
+        for h in draw(st.lists(st.sampled_from(support), max_size=4))})
+
+
+def _perturbed(draw, D, scope):
+    """A table of D's values on scope, with one random coefficient moved
+    at a random (g, h) half the time."""
+    group = D.group
+    values = {g: D.value(g) for g in scope}
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(scope))
+        h = draw(st.sampled_from(scope))
+        values[g] = values[g] + AlgebraElement.indicator(group, h, _scalar(draw))
+    return values
+
+
+@st.composite
+def finite_tables(draw):
+    group = _finite(draw(st.sampled_from(FINITE)))
+    endomorphisms = finite_endomorphisms(group)
+    sigma, tau = draw(endomorphisms), draw(endomorphisms)
+    elems = group.elements()
+    D = inner_derivation(_algebra_element(draw, group, elems), sigma, tau)
+    values = _perturbed(draw, D, elems)
+    e = group.identity()
+    if draw(st.integers(0, 3)) == 0:
+        values[e] = values[e] + AlgebraElement.indicator(
+            group, draw(st.sampled_from(elems)), _scalar(draw) or 1)
+    # E(r s^k) = c tau(s^k) on one coset r<s> of the first generator s, and
+    # 0 elsewhere, keeps the rule at every (g2, s); only another generator
+    # can refute it
+    powers = [e]
+    while powers[-1] * group.generators[0] != e:
+        powers.append(powers[-1] * group.generators[0])
+    outside = [r for r in elems if r not in powers]
+    if outside and draw(st.booleans()):
+        r = draw(st.sampled_from(outside))
+        c = _algebra_element(draw, group, elems)
+        for power in powers:
+            values[r * power] = values[r * power] + c.right_mul(tau(power))
+    return DerivationTable.from_table(group, sigma, tau, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_tables())
+def test_finite_generator_proof_matches_full_scan(D):
+    elems = D.group.elements()
+    assert leibniz_pairs(D, elems) is None
+    assert validated_table_pairs(D.group, elems) is None
+    # None stands for all |G|^2 pairs, the list character_from_derivation built
+    expected = reference_check_leibniz(D, all_pairs(elems))
+    assert reference_check_leibniz(D) == expected
+    result = check_leibniz(D, leibniz_pairs(D, elems))
+    assert result["ok"] == expected["ok"]
+    assert result["violations"] == expected["violations"][:1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_identity_value_is_proved_zero(n):
+    # on cyclic_n = <g>, D(g^k) = k g^k for k = 1..n (so D(e) = n e) holds
+    # at every generator pair (g2, g) with g2 != e; only the pairs (e, s),
+    # which force D(e) = 0, refuse it
+    group = builtin_group("cyclic", n)
+    g = group.generators[0]
+    values = {}
+    for k in range(1, n + 1):
+        power = group.power(g, k)
+        values[power] = AlgebraElement.indicator(group, power, k)
+    e = identity_endomorphism(group)
+    D = DerivationTable.from_table(group, e, e, values)
+    assert check_leibniz(D, [(g2, g) for g2 in group.elements()
+                             if g2 != group.identity()])["ok"]
+    expected = reference_check_leibniz(D)
+    assert not expected["ok"]
+    result = check_leibniz(D)
+    assert result["violations"] == expected["violations"][:1]
+    assert result["violations"][0][:2] == (group.identity(), group.identity())
+
+
+@st.composite
+def heisenberg_derivations(draw):
+    """(D, scope, reference pairs): a rule-backed derivation, or a ball
+    table read back through from_json, on a ball of radius <= 3."""
+    group = HEISENBERG
+    scope = group.ball(draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        endomorphisms = heisenberg_endomorphisms(group)
+        sigma, tau = draw(endomorphisms), draw(endomorphisms)
+        D = inner_derivation(
+            _algebra_element(draw, group, group.ball(2)), sigma, tau)
+    else:
+        params = HeisenbergParams(*(draw(SMALL) for _ in range(4)))
+        D = heisenberg_central_family(params, draw(SMALL), draw(SMALL),
+                                      draw(SMALL), group=group)
+    if draw(st.booleans()):
+        return D, scope, all_pairs(scope)
+    table = DerivationTable.from_table(group, D.sigma, D.tau,
+                                       _perturbed(draw, D, scope))
+    D = DerivationTable.from_json(group, D.sigma, D.tau,
+                                  table.to_json(scope=scope), scope=scope)
+    return D, scope, validated_table_pairs(group, scope)
+
+
+@settings(max_examples=100, deadline=None)
+@given(heisenberg_derivations())
+def test_heisenberg_pairs_and_first_violation_match(case):
+    D, scope, reference_pairs = case
+    pairs = leibniz_pairs(D, scope)
+    assert pairs == reference_pairs
+    expected = reference_check_leibniz(D, reference_pairs)
+    result = check_leibniz(D, pairs)
+    assert result["ok"] == expected["ok"]
+    assert result["violations"] == expected["violations"][:1]
