@@ -183,22 +183,10 @@ class AlgebraElement:
         self._check_group(other)
         group = self.group
         acc = {}
-        # single-term operands are translations; keep them cheap since
-        # derivation code multiplies by group elements constantly
-        if len(other.terms) == 1:
-            (v, cv), = other.terms.items()
-            for u, cu in self.terms.items():
-                acc[group.multiply(u, v)] = cu * cv
-        elif len(self.terms) == 1:
-            (u, cu), = self.terms.items()
+        for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                acc[group.multiply(u, v)] = cu * cv
-        else:
-            for u, cu in self.terms.items():
-                for v, cv in other.terms.items():
-                    x = group.multiply(u, v)
-                    prev = acc.get(x, ZERO) + cu * cv
-                    acc[x] = prev
+                x = group.multiply(u, v)
+                acc[x] = acc.get(x, ZERO) + cu * cv
         out = AlgebraElement.__new__(AlgebraElement)
         out.group = group
         out.terms = {g: c for g, c in acc.items() if c}

@@ -400,13 +400,12 @@ def quasi_inner_from_potential(P: Potential, sigma, tau) -> DerivationTable:
 def is_sigma_tau_central(a, sigma, tau):
     """Does a tau(v) = sigma(v) a hold for all v?
 
-    v runs over the whole group when finite and over the generators on
-    heisenberg_Z, where the generator check suffices because both sides
-    are multiplicative in v.
+    v runs over the generators, on both group kinds: both sides are
+    multiplicative in v, so the v that pass form a subgroup, the whole
+    group once it holds the generators. The witness is the first failing
+    generator.
     """
-    group = a.group
-    witnesses = group.elements() if group.kind == "finite" else group.generators
-    for v in witnesses:
+    for v in a.group.generators:
         if a * tau(v) != sigma(v) * a:
             return False, v
     return True, None

@@ -134,6 +134,7 @@ class GroupoidView:
         self.radius = radius
         self._scope = group.ball(radius)
         self._moves = None
+        self._classes = None
 
     def objects(self):
         return list(self._scope)
@@ -185,20 +186,20 @@ class GroupoidView:
     def conjugacy_class(self, a) -> ConjugacyClass:
         """[a] = {sigma(g^-1) a tau(g)} over g in scope.
 
-        Listed as {sigma(v) a tau(v^-1)} over the distinct moves v of
-        components(); the two sets agree (v = g^-1) because the scope is
-        closed under inverses, as a finite group and a ball both are.
+        On a finite group this is the component containing a. On a ball
+        it is listed as {sigma(v) a tau(v^-1)} over the distinct moves v
+        of components(); the two sets agree (v = g^-1) because the ball
+        is closed under inverses.
         """
         group = self.group
         group._check(a)
+        if group.kind == "finite":
+            cls = self._partition()[1][a.payload]
+            return ConjugacyClass(a, list(cls), False)
         seen = {self._step(key, a.payload) for key in self._distinct_moves()}
         elements = sorted(map(group.element, seen), key=group.sort_key)
-        if group.kind == "finite":
-            truncated = False
-        else:
-            central, _ = is_sigma_tau_central(a, self.sigma, self.tau)
-            truncated = not central
-        return ConjugacyClass(a, elements, truncated)
+        central, _ = is_sigma_tau_central(a, self.sigma, self.tau)
+        return ConjugacyClass(a, elements, not central)
 
     def components(self):
         """Partition of the scope into groupoid components.
@@ -215,9 +216,22 @@ class GroupoidView:
         (_forest) runs over the first witness of each key only.
         """
         if self.group.kind == "finite":
-            return [[self._scope[i] for i in members] for members in
-                    twisted_class_indices(self.group, self.sigma, self.tau)]
+            return [list(cls) for cls in self._partition()[0]]
         return [members for members, _ in self._forest()]
+
+    def _partition(self):
+        """(a finite group's classes as element lists, the class of each
+        element index), computed once."""
+        if self._classes is None:
+            scope = self._scope
+            classes = [[scope[i] for i in members] for members in
+                       twisted_class_indices(self.group, self.sigma, self.tau)]
+            class_of = [None] * len(scope)
+            for cls in classes:
+                for g in cls:
+                    class_of[g.payload] = cls
+            self._classes = classes, class_of
+        return self._classes
 
     def _distinct_moves(self):
         """{key: first witness v in scope order}, computed once."""

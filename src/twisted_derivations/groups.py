@@ -424,18 +424,11 @@ def _cyclic_tables(n):
 
 
 def _dihedral_tables(n):
-    # Element (i, j) = r^i s^j with s r = r^{-1} s; index i + j*n.
-    def mul(p, q):
-        i1, j1 = p
-        i2, j2 = q
-        sign = -1 if j1 else 1
-        return ((i1 + sign * i2) % n, j1 ^ j2)
-
-    def idx(p):
-        return p[0] + p[1] * n
-
-    elems = [(i, j) for j in (0, 1) for i in range(n)]
-    cayley = [[idx(mul(p, q)) for q in elems] for p in elems]
+    # r^i s^j has index i + j*n, and s r = r^-1 s, so (r^i s^j)(r^k s^l)
+    # = r^(i +- k) s^(j xor l) with the sign + when j = 0
+    cayley = [[(i + k if j == 0 else i - k) % n + (j ^ l) * n
+               for l in (0, 1) for k in range(n)]
+              for j in (0, 1) for i in range(n)]
     labels = []
     for j in (0, 1):
         for i in range(n):
@@ -459,43 +452,31 @@ def _symmetric_tables(n):
 
 
 def _quaternion_tables():
-    # Units as (axis, sign), axis 0 meaning 1 and axes 1,2,3 meaning i,j,k.
-    def unit_mul(a1, a2):
-        if a1 == 0:
-            return a2, 1
-        if a2 == 0:
-            return a1, 1
-        if a1 == a2:
-            return 0, -1
-        third = 6 - a1 - a2
-        if (a1, a2) in ((1, 2), (2, 3), (3, 1)):
-            return third, 1
-        return third, -1
+    # the units +-1, +-i, +-j, +-k as 4-tuples, multiplied by Hamilton's rule
+    units = [tuple(sign if k == axis else 0 for k in range(4))
+             for axis in range(4) for sign in (1, -1)]
+    index = {u: i for i, u in enumerate(units)}
 
-    def idx(axis, sign):
-        return 2 * axis + (0 if sign > 0 else 1)
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
-    elems = [(axis, sign) for axis in range(4) for sign in (1, -1)]
-    cayley = []
-    for a1, s1 in elems:
-        row = []
-        for a2, s2 in elems:
-            axis, s = unit_mul(a1, a2)
-            row.append(idx(axis, s * s1 * s2))
-        cayley.append(row)
+    cayley = [[index[hamilton(p, q)] for q in units] for p in units]
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     return cayley, labels
 
 
 def _heisenberg_mod_tables(n):
+    # (a, b, c) has index (a*n + b)*n + c, and (a, b, c)(a', b', c') =
+    # (a + a', b + b', c + c' + a*b') mod n
     elems = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
-    index = {p: i for i, p in enumerate(elems)}
-
-    def mul(p, q):
-        r = _heis_mul(p, q)
-        return (r[0] % n, r[1] % n, r[2] % n)
-
-    cayley = [[index[mul(p, q)] for q in elems] for p in elems]
+    cayley = [[(((a + a2) % n * n + (b + b2) % n) * n + (c + c2 + a * b2) % n)
+               for a2 in range(n) for b2 in range(n) for c2 in range(n)]
+              for a, b, c in elems]
     labels = ["[{},{},{}]".format(*p) for p in elems]
     return cayley, labels
 
@@ -560,8 +541,8 @@ def builtin_group(family: str, param: int | None = None) -> Group:
 class Endomorphism:
     """A group endomorphism, applied with __call__.
 
-    Finite groups store the total element map and the homomorphism
-    property is validated exhaustively. On heisenberg_Z the map is given
+    Finite groups store the total element map, proved a homomorphism on
+    the generator pairs (see make_endomorphism). On heisenberg_Z the map is given
     by generator images and extended through the normal form
     g = x^a y^b z^(c - a*b); any two images extend, since H3(Z) is free
     nilpotent of class 2 (see make_endomorphism).
@@ -674,28 +655,35 @@ def make_endomorphism(group: Group, images) -> Endomorphism:
         return Endomorphism(group, gen_images=[px, py],
                             is_automorphism=abs(det) == 1)
 
+    cay = group.cayley
     table = [None] * group.order
     e = group.identity_index
     table[e] = e
     frontier = [e]
-    gen_payloads = [g.payload for g in group.generators]
-    img_payloads = [img.payload for img in images]
+    pairs = [(g.payload, img.payload) for g, img in zip(group.generators, images)]
     while frontier:
         nxt = []
         for w in frontier:
-            for s, s_img in zip(gen_payloads, img_payloads):
-                p = group.cayley[w][s]
+            for s, s_img in pairs:
+                p = cay[w][s]
                 if table[p] is None:
-                    table[p] = group.cayley[table[w]][s_img]
+                    table[p] = cay[table[w]][s_img]
                     nxt.append(p)
         frontier = nxt
-    for g in range(group.order):
-        for h in range(group.order):
-            if table[group.cayley[g][h]] != group.cayley[table[g]][table[h]]:
-                raise NotAHomomorphism(
-                    "phi(g*h) != phi(g)*phi(h)",
-                    witness=[group.element_to_json(group._elements[g]),
-                             group.element_to_json(group._elements[h])])
+    # phi(g s) = phi(g) phi(s) for every g and generator s proves phi a
+    # homomorphism: with phi(e) = e, induction on a positive word w s
+    # gives phi(g w s) = phi(g w) phi(s) = phi(g) phi(w) phi(s) =
+    # phi(g) phi(w s). Only a failure scans all (g, h), to report the
+    # first failing pair in canonical order.
+    if any(table[cay[g][s]] != cay[table[g]][s_img]
+           for g in range(group.order) for s, s_img in pairs):
+        g, h = next((g, h) for g in range(group.order)
+                    for h in range(group.order)
+                    if table[cay[g][h]] != cay[table[g]][table[h]])
+        raise NotAHomomorphism(
+            "phi(g*h) != phi(g)*phi(h)",
+            witness=[group.element_to_json(group._elements[g]),
+                     group.element_to_json(group._elements[h])])
     return Endomorphism(group, table=table,
                         is_automorphism=len(set(table)) == group.order)
 

@@ -19,53 +19,42 @@ from .derivations import (
     derivation_space,
     inner_space,
     is_inner,
+    is_sigma_tau_central,
 )
 from .errors import (
     NotASubgroup,
     NotSupportedForScope,
     UnsupportedSubgroup,
 )
-from .groups import DEFAULT_RADIUS, builtin_group
+from .groups import builtin_group
 from .groupoid import GroupoidView, SubgroupDescription, center_to_json
 
 
 def is_sigma_tau_abelian(group, sigma, tau) -> bool:
-    """True iff sigma(v) u = u tau(v) for all u, v.
+    """True iff sigma(v) u = u tau(v) for all u, v: every twisted class
+    is a singleton.
 
-    Equivalently every twisted class is a singleton. On finite groups v
-    ranges over the generators only: the v that pass for every u form a
-    set closed under products, and every element is a product of
-    generators. heisenberg_Z with inner witnesses has a closed form:
-    the condition at u pins u's first two coordinates, so it can never
-    hold for all u at once.
+    The lemma, for both group kinds: u = e is (sigma, tau)-central iff
+    sigma = tau, and then u is central iff it commutes with sigma(G), so
+    the central u form the centralizer of sigma(G), a subgroup. Hence
+    every u is central iff e and the generators are.
     """
-    if group.kind == "finite":
-        elems = group.elements()
-        return all(sigma(v) * u == u * tau(v)
-                   for u in elems for v in group.generators)
-    if sigma.inner_witness is None or tau.inner_witness is None:
-        raise NotSupportedForScope(
-            "abelianness on heisenberg_Z needs inner sigma and tau")
-    return False
+    return all(is_sigma_tau_central(u, sigma, tau)[0]
+               for u in [group.identity()] + group.generators)
 
 
-def is_fc(group, sigma, tau, radius=DEFAULT_RADIUS):
-    """Whether every twisted class is finite: True, False, or
-    "truncated-unknown".
+def is_fc(group, sigma, tau):
+    """Whether every twisted class is finite: True or "truncated-unknown".
 
-    Finite groups are always FC. On heisenberg_Z the question is only
-    semidecidable by enumeration: a class certified as a singleton
-    contributes a yes, but a class still picking up new elements at the
-    truncation radius proves nothing, so the three-valued answer is
-    "truncated-unknown" unless every probed class is certified.
+    Finite groups are always FC. On heisenberg_Z the answer is True
+    exactly when the pair is (sigma, tau)-abelian, which proves every
+    class a singleton; otherwise a ball shows only part of some class,
+    which proves nothing, so the answer is "truncated-unknown" whatever
+    the radius.
     """
-    if group.kind == "finite":
+    if group.kind == "finite" or is_sigma_tau_abelian(group, sigma, tau):
         return True
-    view = GroupoidView(group, sigma, tau, radius=radius)
-    for a in group.ball(min(radius, 2)):
-        if view.conjugacy_class(a).truncated:
-            return "truncated-unknown"
-    return True
+    return "truncated-unknown"
 
 
 def is_rank2_nilpotent(group, sigma, tau) -> bool:
@@ -177,9 +166,13 @@ def _fc_to_json(value):
 
 
 def structure_report(group, sigma, tau, radius=None) -> StructureReport:
+    """The group-info report. On a finite group each centralizer order is
+    |G| / |class| by orbit-stabilizer (the class is the orbit of the
+    right action a -> sigma(g^-1) a tau(g), the centralizer its
+    stabilizer), and each character space is 0 by torsion."""
     view = GroupoidView(group, sigma, tau, radius=radius)
     is_abelian = is_sigma_tau_abelian(group, sigma, tau)
-    fc = is_fc(group, sigma, tau, radius=radius)
+    fc = is_fc(group, sigma, tau)
     rank2 = is_rank2_nilpotent(group, sigma, tau)
     center = view.center()
     class_summary = []
@@ -188,18 +181,16 @@ def structure_report(group, sigma, tau, radius=None) -> StructureReport:
         for cls in view.components():
             rep = cls[0]
             class_summary.append((rep, len(cls)))
-            centralizer = view.centralizer(rep)
             per_class.append({
                 "representative": group.element_to_json(rep),
-                "centralizer_size": len(centralizer),
-                "char_space_dim": character_space_dimension(centralizer),
+                "centralizer_size": group.order // len(cls),
+                "char_space_dim": 0,
             })
     else:
         for cls in view.components():
             rep = cls[0]
-            rep_class = view.conjugacy_class(rep)
-            size = 1 if not rep_class.truncated else "infinite-in-ball"
-            class_summary.append((rep, size))
+            central, _ = is_sigma_tau_central(rep, sigma, tau)
+            class_summary.append((rep, 1 if central else "infinite-in-ball"))
             centralizer = view.centralizer(rep)
             per_class.append({
                 "representative": group.element_to_json(rep),
@@ -224,20 +215,15 @@ def verify_decomposition(group, sigma, tau) -> dict:
             group=group.name)
     der = derivation_space(group, sigma, tau)
     inn = inner_space(group, sigma, tau)
-    view = GroupoidView(group, sigma, tau)
-    classes = []
-    sum_char_dims = 0
-    for cls in view.components():
-        rep = cls[0]
-        centralizer = view.centralizer(rep)
-        char_dim = character_space_dimension(centralizer)
-        sum_char_dims += char_dim
-        classes.append({
-            "representative": group.element_to_json(rep),
-            "size": len(cls),
-            "centralizer_order": len(centralizer),
-            "char_dim": char_dim,
-        })
+    # centralizer orders by orbit-stabilizer, character spaces 0 by
+    # torsion, as in structure_report
+    classes = [{
+        "representative": group.element_to_json(cls[0]),
+        "size": len(cls),
+        "centralizer_order": group.order // len(cls),
+        "char_dim": 0,
+    } for cls in GroupoidView(group, sigma, tau).components()]
+    sum_char_dims = sum(c["char_dim"] for c in classes)
     every_inner = all(is_inner(D)["is_inner"] for D in der["basis"])
     return {
         "dim_der": der["dimension"],
