@@ -28,15 +28,14 @@ print(f"D(y) = {D.value(y)}")
 print(f"D((1,0,5)) = {D.value(G.element((1, 0, 5)))}")
 
 # Leibniz holds on every pair the truncation can see
-ball = G.ball(3)
-pairs = leibniz_pairs(D, ball)  # a closed form: every pair of the ball
-report = check_leibniz(D, pairs)
+pairs = leibniz_pairs(D, 3)  # a closed form: every pair of the ball,
+report = check_leibniz(D, pairs)  # proved from the pairs (g, s), g in B(5)
 print(f"leibniz on {len(pairs)} ball-3 pairs: {report['ok']}")
 assert report["ok"]
 
 # but no finitely supported potential produces D: the character it
 # induces refuses to vanish on some loop of the groupoid
-verdict = is_quasi_inner(D, scope=ball)
+verdict = is_quasi_inner(D, scope=G.ball(3))
 print(f"quasi-inner: {verdict['quasi_inner']}")
 assert not verdict["quasi_inner"]
 h, g = verdict["loop_witness"]

@@ -372,7 +372,7 @@ def _validated_table(group, sigma, tau, path, radius):
                         path=path)
     scope = group.ball(radius)
     D = DerivationTable.from_json(group, sigma, tau, obj, scope=scope)
-    leibniz = check_leibniz(D, leibniz_pairs(D, scope))
+    leibniz = check_leibniz(D, leibniz_pairs(D, radius))
     if not leibniz["ok"]:
         g2, g1, _lhs, _rhs = leibniz["violations"][0]
         raise NotADerivation(
@@ -381,29 +381,33 @@ def _validated_table(group, sigma, tau, path, radius):
     return D
 
 
-def _cmd_central(args, group, sigma, tau, radius):
-    if group.kind != "heisenberg_Z":
-        raise UnsupportedParameter(
-            "the central-derivation family is defined on heisenberg_Z",
-            group=group.name)
+def _central_params(args):
+    """[sigma_a, sigma_b, sigma_c, tau_c] from --params."""
     if args.params is None:
         raise SpecError("central needs --params sigma_a,sigma_b,sigma_c,tau_c")
     pieces = args.params.split(",")
     if len(pieces) != 4:
         raise SpecError(f"--params needs four integers, got {args.params!r}")
     try:
-        sigma_a, sigma_b, sigma_c, tau_c = (int(p) for p in pieces)
+        return [int(p) for p in pieces]
     except ValueError:
         raise SpecError(f"--params needs four integers, got {args.params!r}")
-    params = HeisenbergParams(sigma_a, sigma_b, sigma_c, tau_c)
-    D = heisenberg_central_family(params, args.mu, args.nu, args.r, group=group)
-    ball = group.ball(args.check_radius)
-    pairs = leibniz_pairs(D, ball)
+
+
+def _cmd_central(args, group, sigma, tau, radius):
+    if group.kind != "heisenberg_Z":
+        raise UnsupportedParameter(
+            "the central-derivation family is defined on heisenberg_Z",
+            group=group.name)
+    params = _central_params(args)
+    D = heisenberg_central_family(HeisenbergParams(*params), args.mu, args.nu,
+                                  args.r, group=group)
+    pairs = leibniz_pairs(D, args.check_radius)
     leibniz = check_leibniz(D, pairs)
-    quasi = is_quasi_inner(D, scope=ball)
+    quasi = is_quasi_inner(D, scope=pairs.ball)
     witness = quasi["loop_witness"]
     return {
-        "params": [sigma_a, sigma_b, sigma_c, tau_c],
+        "params": params,
         "mu": args.mu,
         "nu": args.nu,
         "r": args.r,
@@ -522,7 +526,12 @@ def _extras(args):
         if getattr(args, name, None):
             out[name] = getattr(args, name)
     if getattr(args, "action", None) == "central":
-        out.update(mu=args.mu, nu=args.nu, r=args.r,
+        # the pair the family is built on, not --sigma/--tau, and no
+        # --radius: central reads only --check-radius
+        sigma_a, sigma_b, sigma_c, tau_c = _central_params(args)
+        out.update(sigma=f"inner:[{sigma_a},{sigma_b},{sigma_c}]",
+                   tau=f"inner:[{sigma_a},{sigma_b},{tau_c}]", radius=None,
+                   mu=args.mu, nu=args.nu, r=args.r,
                    check_radius=args.check_radius)
     return out
 

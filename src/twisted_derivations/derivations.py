@@ -14,9 +14,7 @@ Derivations on finite groups are stored as total value tables. On the
 Heisenberg group they are rule-backed closed forms (the coboundary
 p tau(g) - sigma(g) p of an algebra element p, which for a Potential is
 its quasi-inner derivation, and the central d(g) = phi(g) sigma(g) a),
-generator-backed, with values folded by the product rule along the
-normal form g = x^a y^b z^(c - a*b), or file tables, zero on the ball
-they were read on.
+or file tables, zero on the ball they were read on.
 """
 
 from __future__ import annotations
@@ -37,15 +35,11 @@ from .errors import (
     NotSupportedForScope,
     ScopeExceeded,
     SpecError,
-    UnsupportedParameter,
-    WellDefinednessError,
 )
-from .groups import twisted_class_indices
+from .groups import GroupElement, twisted_class_indices
 from .linalg import FieldEliminator, IntegerRowReducer
 
 SOLVER_MAX_ORDER = 64
-# the commutator z = x y x^-1 y^-1 as (generator position, sign) letters
-Z_WORD = ((0, 1), (1, 1), (0, -1), (1, -1))
 
 
 class DerivationTable:
@@ -56,18 +50,15 @@ class DerivationTable:
                    it covers a ball and a miss raises ScopeExceeded
       "rule":      a closed-form callable, total, on heisenberg_Z; finite
                    groups tabulate the rule instead
-      "generator": values on the group generators, extended on demand
     """
 
-    def __init__(self, group, sigma, tau, backing, values=None, rule=None,
-                 gen_values=None):
+    def __init__(self, group, sigma, tau, backing, values=None, rule=None):
         self.group = group
         self.sigma = sigma
         self.tau = tau
         self.backing = backing
         self.values = values
         self.rule = rule
-        self.gen_values = gen_values
         self._memo = {}
 
     # -- constructors ------------------------------------------------------
@@ -91,35 +82,6 @@ class DerivationTable:
         return cls(group, sigma, tau, "rule", rule=rule)
 
     @classmethod
-    def from_generator_values(cls, group, sigma, tau, gen_values):
-        """Generator-backed derivation on heisenberg_Z.
-
-        Requires sigma and tau to be automorphisms: well-definedness of
-        the word extension is certified by checking that the extension
-        kills the presentation relators [x, [x, y]] and [y, [x, y]].
-        """
-        if group.kind != "heisenberg_Z":
-            raise UnsupportedParameter(
-                "generator-backed derivations are for heisenberg_Z; "
-                "finite groups use total tables")
-        if not (sigma.is_automorphism and tau.is_automorphism):
-            raise UnsupportedParameter(
-                "word extension needs automorphisms for well-definedness")
-        gen_values = list(gen_values)
-        if len(gen_values) != len(group.generators):
-            raise UnsupportedParameter(
-                f"expected {len(group.generators)} generator values")
-        table = cls(group, sigma, tau, "generator", gen_values=gen_values)
-        z_inverse = [(pos, -sign) for pos, sign in reversed(Z_WORD)]
-        for pos, name in ((0, "[x,[x,y]]"), (1, "[y,[x,y]]")):
-            relator = [(pos, 1), *Z_WORD, (pos, -1), *z_inverse]
-            if not extend_to_word(table, relator).is_zero():
-                raise WellDefinednessError(
-                    f"extension does not vanish on the relator {name}",
-                    relation=name)
-        return table
-
-    @classmethod
     def zero(cls, group, sigma, tau):
         return cls.from_rule(group, sigma, tau,
                              lambda g: AlgebraElement.zero(group))
@@ -140,73 +102,12 @@ class DerivationTable:
         memo = self._memo
         key = g.payload
         if key not in memo:
-            memo[key] = (self.rule(g) if self.backing == "rule"
-                         else self._normal_form_value(g))
+            memo[key] = self.rule(g)
         return memo[key]
 
     def lam(self, h, g) -> GaussianRational:
         """The coefficient lambda(h, g) of h in D(g)."""
         return self.value(g).coefficient(h)
-
-    def _fold(self, pairs):
-        """(g1 ... gk, D(g1 ... gk)) from the pairs (gi, D(gi)).
-
-        The product rule D(p g) = D(p) tau(g) + sigma(p) D(g) is folded
-        from the left, starting from the first pair; the empty product
-        is e, where D vanishes.
-        """
-        pairs = iter(pairs)
-        first = next(pairs, None)
-        if first is None:
-            return self.group.identity(), AlgebraElement.zero(self.group)
-        prefix, out = first
-        for g, d in pairs:
-            out = out.right_mul(self.tau(g)) + d.left_mul(self.sigma(prefix))
-            prefix = prefix * g
-        return prefix, out
-
-    def _inverse_value(self, g, d_g) -> AlgebraElement:
-        """D(g^-1) = -sigma(g^-1) D(g) tau(g^-1), forced by D(e) = 0."""
-        g_inv = g.inverse()
-        return d_g.left_mul(self.sigma(g_inv)).right_mul(self.tau(g_inv)).scale(-1)
-
-    def _letter(self, base, sign):
-        """(b, D(b)) for b = x (base 0), y (base 1) or z = x y x^-1 y^-1
-        (base 2), or for its inverse when sign is negative."""
-        memo = self._memo
-        sign = 1 if sign > 0 else -1
-        key = ("power", base, sign)
-        if key not in memo:
-            if sign < 0:
-                b, d_b = self._letter(base, 1)
-                memo[key] = (b.inverse(), self._inverse_value(b, d_b))
-            elif base < 2:
-                memo[key] = (self.group.generators[base], self.gen_values[base])
-            else:
-                memo[key] = self._fold(self._letter(pos, s) for pos, s in Z_WORD)
-        return memo[key]
-
-    def _power(self, base, n):
-        """(b^n, D(b^n)) for n != 0, memoized per base and exponent: each
-        new power folds one letter onto the one below it."""
-        memo = self._memo
-        sign = 1 if n > 0 else -1
-        letter = self._letter(base, sign)  # the power +-1
-        k = n
-        while ("power", base, k) not in memo:
-            k -= sign
-        out = memo[("power", base, k)]
-        while k != n:
-            k += sign
-            out = self._fold((out, letter))
-            memo[("power", base, k)] = out
-        return out
-
-    def _normal_form_value(self, g) -> AlgebraElement:
-        """D(g) through the normal form g = x^a y^b z^(c - a*b)."""
-        a, b, c = g.payload
-        return self._fold(self._power(base, n) for base, n
-                          in ((0, a), (1, b), (2, c - a * b)) if n)[1]
 
     # -- comparison and serialization --------------------------------------
 
@@ -327,33 +228,61 @@ def _element_order(group, g):
     return n
 
 
-def leibniz_pairs(D: DerivationTable, scope):
-    """The pairs (g2, g1) of scope = group.ball(radius) that check_leibniz
-    reads for D: None on a finite group (the generator pairs prove every
-    pair); on heisenberg_Z every pair for a closed form, and for a table
-    read on the ball the pairs whose product stays in it.
+class BallPairs:
+    """Every pair (g2, g1) of group.ball(radius) x group.ball(radius), in
+    canonical order (g2 first), iterated lazily: its len is |B(R)|^2 but
+    no pair list is built. check_leibniz reads the radius from it."""
+
+    def __init__(self, group, radius):
+        self.radius = radius
+        self.ball = group.ball(radius)
+
+    def __len__(self):
+        return len(self.ball) ** 2
+
+    def __iter__(self):
+        return product(self.ball, self.ball)
+
+
+def leibniz_pairs(D: DerivationTable, radius):
+    """The pairs (g2, g1) of group.ball(radius) that check_leibniz answers
+    for: None on a finite group (every pair); on heisenberg_Z every pair
+    for a closed form, as BallPairs, and for a table read on the ball the
+    list of pairs whose product stays in it.
     """
-    if D.group.kind == "finite":
+    group = D.group
+    if group.kind == "finite":
         return None
-    if D.backing != "table":
-        return [(g2, g1) for g2 in scope for g1 in scope]
-    in_scope = set(scope)
-    return [(g2, g1) for g2 in scope for g1 in scope if g2 * g1 in in_scope]
+    if D.backing == "rule":
+        return BallPairs(group, radius)
+    ball = group.ball(radius)
+    in_ball = set(ball)
+    return [(g2, g1) for g2 in ball for g1 in ball if g2 * g1 in in_ball]
 
 
 def check_leibniz(D: DerivationTable, pairs=None):
     """Exact check of D(g2 g1) = D(g2) tau(g1) + sigma(g2) D(g1).
 
-    pairs lists the (g2, g1) to check, as leibniz_pairs gives them. None
-    means every pair of group.ball(None), a finite group, where the pairs
-    (g2, s) for generators s prove the rule. At (e, s) it reads
-    D(e) tau(s) = 0, so D(e) = 0, which is the rule at every (g2, e).
-    If it holds at (g2, w) for every g2, expanding D((g2 w) s) by the
-    rule at (g2 w, s), then D(g2 w) by the rule at (g2, w), and
-    collecting D(w) tau(s) + sigma(w) D(s) into D(w s) by the rule at
-    (w, s), gives it at (g2, w s). By induction it holds at (g2, w) for
-    every positive word w, and in a finite group every element is one.
-    All pairs are scanned only when that proof fails.
+    pairs is what leibniz_pairs gives: None for every pair of a finite
+    group, BallPairs for every pair of B(R) = group.ball(R), or a list.
+
+    None and BallPairs are proved from a cover times letters: on a finite
+    group the pairs (g, s) for every g and generator s; on B(R) the pairs
+    (g, s) for g in B(2R - 1) (B(0) when R = 0) and s in the generators
+    and their inverses. At (e, s) the rule reads D(e) tau(s) = 0, so
+    D(e) = 0, which is the rule at every (g2, e). If it holds at (g2, w),
+    expanding D((g2 w) s) by the rule at (g2 w, s), then D(g2 w) by the
+    rule at (g2, w), and collecting D(w) tau(s) + sigma(w) D(s) into
+    D(w s) by the rule at (w, s), gives it at (g2, w s). By induction it
+    holds at (g2, w) for every word w in the letters. In a finite group
+    every element is a positive word in the generators. In the ball, for
+    g2 in B(R) and w of length < R, both g2 w in B(R) B(R - 1) = B(2R - 1)
+    and w lie in the cover, so every pair of B(R) x B(R) is reached. The
+    cover reads D on B(2R), where only a closed form is known, so
+    leibniz_pairs gives BallPairs only for a rule-backed D; a table read
+    on a ball is unknown off it, and its list of in-ball pairs is scanned
+    directly. The pairs are scanned only when the proof fails, to decide
+    and to name the first violation.
 
     Returns {"ok": True, "violations": []} or {"ok": False, "violations":
     [(g2, g1, lhs, rhs)]}: the first violation in the order of pairs, or
@@ -370,15 +299,21 @@ def check_leibniz(D: DerivationTable, pairs=None):
                 return g2, g1, lhs, rhs
         return None
 
+    gens = group.generators
+    proof = None
     if pairs is None:
         elems = group.ball(None)
-        if first_violation(product(elems, group.generators)) is None:
-            return {"ok": True, "violations": []}
+        proof = product(elems, gens)
         pairs = product(elems, elems)
-    violation = first_violation(pairs)
-    if violation is None:
-        return {"ok": True, "violations": []}
-    return {"ok": False, "violations": [violation]}
+    elif isinstance(pairs, BallPairs):
+        cover = group._word_payloads(max(2 * pairs.radius - 1, 0))
+        proof = product([GroupElement(group, p) for p in cover],
+                        gens + [s.inverse() for s in gens])
+    if proof is None or first_violation(proof) is not None:
+        violation = first_violation(pairs)
+        if violation is not None:
+            return {"ok": False, "violations": [violation]}
+    return {"ok": True, "violations": []}
 
 
 def inner_derivation(p: AlgebraElement, sigma, tau) -> DerivationTable:
@@ -604,16 +539,3 @@ def is_quasi_inner(D: DerivationTable, scope=None):
                         "value": D.lam(h, g)}
     return {"quasi_inner": True, "loop_witness": None, "value": None}
 
-
-def extend_to_word(D: DerivationTable, word) -> AlgebraElement:
-    """Evaluate a generator-backed derivation along an explicit word.
-
-    word is a sequence of (generator position, +1 or -1) letters. The
-    value folds the product rule left to right; for a well-defined
-    derivation it depends only on the word's image in the group, which
-    from_generator_values certifies via the presentation relators.
-    """
-    if D.backing != "generator":
-        raise UnsupportedParameter(
-            "extend_to_word needs a generator-backed derivation")
-    return D._fold(D._letter(pos, sign) for pos, sign in word)[1]

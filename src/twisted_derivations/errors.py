@@ -96,11 +96,3 @@ class NotCentralElement(WitnessError):
 
 class NotAHomomorphismToC(WitnessError):
     pass
-
-
-class WellDefinednessError(WitnessError):
-    pass
-
-
-class NotASubgroup(WitnessError):
-    pass

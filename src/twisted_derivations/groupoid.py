@@ -379,7 +379,7 @@ def character_from_derivation(view: GroupoidView, D: DerivationTable) -> Charact
     with the offending pair.
     """
     scope = view.objects()
-    result = check_leibniz(D, leibniz_pairs(D, scope))
+    result = check_leibniz(D, leibniz_pairs(D, view.radius))
     if not result["ok"]:
         g2, g1, _lhs, _rhs = result["violations"][0]
         raise NotADerivation(

@@ -204,6 +204,13 @@ class Group:
             raise ScopeExceeded(
                 f"ball radius {radius} exceeds the supported bound {MAX_BALL_RADIUS}",
                 radius=radius, limit=MAX_BALL_RADIUS)
+        return [GroupElement(self, p)
+                for p in sorted(self._word_payloads(radius), key=_heis_sort_key)]
+
+    def _word_payloads(self, radius):
+        """The heisenberg_Z triples of the words of length <= radius in the
+        generators and their inverses, unsorted and with no bound on the
+        radius; only ball decides what a query covers."""
         letters = [g.payload for g in self.generators]
         letters += [_heis_inv(p) for p in letters]
         seen = {(0, 0, 0)}
@@ -217,7 +224,7 @@ class Group:
                         seen.add(q)
                         new.append(q)
             frontier = new
-        return [GroupElement(self, p) for p in sorted(seen, key=_heis_sort_key)]
+        return seen
 
     def sort_key(self, g: GroupElement):
         self._check(g)

@@ -22,7 +22,6 @@ from .derivations import (
     is_sigma_tau_central,
 )
 from .errors import (
-    NotASubgroup,
     NotSupportedForScope,
     UnsupportedSubgroup,
 )
@@ -79,37 +78,6 @@ def is_rank2_nilpotent(group, sigma, tau) -> bool:
     gens = group.generators
     return all(s * t * s.inverse() * t.inverse() in center
                for s in gens for t in gens)
-
-
-def commutator_subgroup(group, subgroup):
-    """The closure of {[h, k] = h k h^-1 k^-1} inside a finite subgroup."""
-    members = list(subgroup)
-    member_set = set(members)
-    if group.identity() not in member_set:
-        raise NotASubgroup("missing the identity element")
-    for h in members:
-        for k in members:
-            if h * k not in member_set:
-                raise NotASubgroup(
-                    "not closed under the product",
-                    witness=[group.label(h), group.label(k)])
-    if any(h.inverse() not in member_set for h in members):
-        raise NotASubgroup("not closed under inverses")
-    commutators = {h * k * h.inverse() * k.inverse()
-                   for h in members for k in members}
-    closure = set(commutators)
-    closure.add(group.identity())
-    frontier = list(closure)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in commutators:
-                c = a * b
-                if c not in closure:
-                    closure.add(c)
-                    new.append(c)
-        frontier = new
-    return sorted(closure, key=group.sort_key)
 
 
 def character_space_dimension(subgroup) -> int:

@@ -118,10 +118,118 @@ def central_family_generator_values(group, params, mu, nu, r):
     """[d(x), d(y)] of the Heisenberg central family, written out by hand
     from d(g) = (mu g_a + nu g_b) (g_a, g_b, g_c + sigma_a g_b - sigma_b g_a
     + r): d(x) = mu (1, 0, r - sigma_b) and d(y) = nu (0, 1, sigma_a + r).
-    Fed to DerivationTable.from_generator_values, they give the family
-    through the product-rule fold instead of its closed form."""
+    Fed to GeneratorFold, they give the family through the product rule
+    instead of its closed form."""
     from twisted_derivations import AlgebraElement
     return [
         AlgebraElement.indicator(group, group.element((1, 0, r - params.sigma_b)), mu),
         AlgebraElement.indicator(group, group.element((0, 1, params.sigma_a + r)), nu),
     ]
+
+
+class GeneratorFold:
+    """A derivation on heisenberg_Z from its values on x and y, folded by
+    the product rule D(p g) = D(p) tau(g) + sigma(p) D(g) along the normal
+    form g = x^a y^b z^m, m = c - a*b, with z = x y x^-1 y^-1.
+
+    Each piece starts from zero: D(s^-1) = -sigma(s^-1) D(s) tau(s^-1)
+    for the letters, then powers of x and y one letter at a time, D(z)
+    along its word, and powers of z. The values define a derivation only
+    if they respect the relators; the central family's do.
+    """
+
+    def __init__(self, group, sigma, tau, gen_values):
+        self.group = group
+        self.sigma = sigma
+        self.tau = tau
+        self.gen_values = list(gen_values)
+        self._memo = {}
+        from twisted_derivations import AlgebraElement
+        self._zero = AlgebraElement.zero(group)
+
+    def _letter_value(self, pos, sign):
+        key = ("letter", pos, sign)
+        if key in self._memo:
+            return self._memo[key]
+        if sign > 0:
+            out = self.gen_values[pos]
+        else:
+            inv = self.group.generators[pos].inverse()
+            out = self.gen_values[pos].left_mul(self.sigma(inv)) \
+                .right_mul(self.tau(inv)).scale(-1)
+        self._memo[key] = out
+        return out
+
+    def _power_value(self, pos, n):
+        key = ("power", pos, n)
+        if key in self._memo:
+            return self._memo[key]
+        group = self.group
+        gen = group.generators[pos]
+        step = 1 if n >= 0 else -1
+        letter = gen if step > 0 else gen.inverse()
+        d_letter = self._letter_value(pos, step)
+        tau_letter = self.tau(letter)
+        k = 0
+        out = self._memo.setdefault(("power", pos, 0), self._zero)
+        while k != n:
+            prefix = group.power(gen, k)
+            out = out.right_mul(tau_letter) + d_letter.left_mul(self.sigma(prefix))
+            k += step
+            self._memo[("power", pos, k)] = out
+        return out
+
+    def _z_value(self):
+        if ("z",) not in self._memo:
+            group = self.group
+            d = self._zero
+            prefix = group.identity()
+            for pos, sign in ((0, 1), (1, 1), (0, -1), (1, -1)):
+                letter = group.generators[pos]
+                if sign < 0:
+                    letter = letter.inverse()
+                d = d.right_mul(self.tau(letter)) \
+                    + self._letter_value(pos, sign).left_mul(self.sigma(prefix))
+                prefix = prefix * letter
+            self._memo[("z",)] = d
+        return self._memo[("z",)]
+
+    def _z_power_value(self, m):
+        key = ("zpower", m)
+        if key in self._memo:
+            return self._memo[key]
+        group = self.group
+        z = group.element((0, 0, 1))
+        d_z = self._z_value()
+        if m >= 0:
+            base, d_base, count = z, d_z, m
+        else:
+            z_inv = z.inverse()
+            d_base = d_z.left_mul(self.sigma(z_inv)).right_mul(self.tau(z_inv)).scale(-1)
+            base, count = z_inv, -m
+        out = self._zero
+        acc = group.identity()
+        for _ in range(count):
+            out = out.right_mul(self.tau(base)) + d_base.left_mul(self.sigma(acc))
+            acc = acc * base
+        self._memo[key] = out
+        return out
+
+    def value(self, g):
+        if g.payload in self._memo:
+            return self._memo[g.payload]
+        group = self.group
+        a, b, c = g.payload
+        m = c - a * b
+        x, y = group.generators
+        z = group.element((0, 0, 1))
+        d_xa = self._power_value(0, a)
+        d_yb = self._power_value(1, b)
+        d_zm = self._z_power_value(m)
+        xa = group.power(x, a)
+        yb = group.power(y, b)
+        zm = group.power(z, m)
+        d_tail = d_yb.right_mul(self.tau(zm)) + d_zm.left_mul(self.sigma(yb))
+        out = d_xa.right_mul(self.tau(yb * zm)) + d_tail.left_mul(self.sigma(xa))
+        self._memo[g.payload] = out
+        return out

@@ -81,6 +81,10 @@ def test_traced_cli_jobs_run(tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert codes == [0, 0, 0]
-    ball2 = len(heisenberg.ball(2))
-    # central checks every ball pair, check-inner counts |G|^2 for None
-    assert tracer.metrics()["derivations.leibniz_pairs"] > ball2 ** 2 + s3.order ** 2
+    ball2 = heisenberg.ball(2)
+    in_ball = set(ball2)
+    table_pairs = sum(g2 * g1 in in_ball for g2 in ball2 for g1 in ball2)
+    # central answers for every ball pair, the ball table for the pairs
+    # whose product stays in the ball, check-inner counts |G|^2 for None
+    assert tracer.metrics()["derivations.leibniz_pairs"] == (
+        len(ball2) ** 2 + table_pairs + s3.order ** 2)

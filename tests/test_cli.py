@@ -195,6 +195,34 @@ def test_central_family_report():
     assert blob["pairs_checked"] > 0
 
 
+def test_central_job_names_the_pair_it_used():
+    # the family's pair comes from --params; --sigma, --tau and --radius
+    # are accepted but not read, so the job names inner:[sa,sb,sc],
+    # inner:[sa,sb,tc] and no radius
+    argv = ["derivations", "central", "--group", "builtin:heisenberg_Z",
+            "--params", "2,3,0,1", "--mu", "1"]
+    ignored = run_cli(*argv, "--sigma", "inner:[5,5,5]", "--tau", "id",
+                      "--radius", "6")
+    job = out_json(ignored)["job"]
+    assert (job["sigma"], job["tau"], job["radius"]) == (
+        "inner:[2,3,0]", "inner:[2,3,1]", None)
+    assert list(job) == ["command", "group", "group_name", "sigma", "tau",
+                         "radius", "action", "params", "mu", "nu", "r",
+                         "check_radius"]
+    same = run_cli(*argv, "--sigma", "inner:[2,3,0]", "--tau", "inner:[2,3,1]")
+    assert same.stdout == ignored.stdout
+
+
+def test_central_check_radius_8():
+    # |B(8)|^2 = 1793^2 pairs, proved from the pairs (g, s) with g in B(15)
+    blob = out_json(run_cli(
+        "derivations", "central", "--group", "builtin:heisenberg_Z",
+        "--params", "2,3,0,1", "--mu", "1", "--nu", "-2", "--r", "3",
+        "--check-radius", "8"))
+    assert blob["pairs_checked"] == 3_214_849
+    assert blob["leibniz_ok"] is True
+
+
 def test_groupoid_export_s3_clusters():
     proc = run_cli("groupoid-export", "--group", "builtin:s3", "--format", "dot")
     assert proc.stdout.startswith("// tool_version:")

@@ -10,9 +10,9 @@ of radius <= 3, for sigma and tau drawn from the identity, inner maps
 and random generator images, non-injective ones included.
 
 heisenberg_central_family is central_derivation(z^r, phi_{mu,nu}). The
-reference is the product-rule fold of a generator-backed table fed the
-family's hand-written D(x) and D(y); values must agree on balls of
-radius <= 4.
+reference is oracles.GeneratorFold, the product-rule fold along the
+normal form, fed the family's hand-written D(x) and D(y); values must
+agree on balls of radius <= 4.
 """
 
 from fractions import Fraction
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from twisted_derivations import (
     AlgebraElement,
-    DerivationTable,
     GaussianRational,
     HeisenbergParams,
     Potential,
@@ -152,7 +151,7 @@ def test_central_family_matches_generator_fold(params, mu, nu, r, radius):
     params = HeisenbergParams(*params)
     family = heisenberg_central_family(params, mu, nu, r, group=HEISENBERG)
     sigma, tau = params.endomorphisms(HEISENBERG)
-    fold = DerivationTable.from_generator_values(
+    fold = oracles.GeneratorFold(
         HEISENBERG, sigma, tau,
         oracles.central_family_generator_values(HEISENBERG, params, mu, nu, r))
     for g in HEISENBERG.ball(radius):

@@ -14,12 +14,10 @@ from twisted_derivations import (
     NotCentralElement,
     Potential,
     ScopeExceeded,
-    WellDefinednessError,
     builtin_group,
     central_derivation,
     check_leibniz,
     derivation_space,
-    extend_to_word,
     heisenberg_central_family,
     identity_endomorphism,
     inner_derivation,
@@ -300,9 +298,8 @@ def test_central_family_matches_central_derivation():
     family = heisenberg_central_family(params, mu=1, nu=-1, r=4, group=g)
     phi = AdditiveCharacterOnG(g, (1, -1))
     direct = central_derivation(g.element((0, 0, 4)), phi, sigma, tau)
-    fold = DerivationTable.from_generator_values(
+    fold = oracles.GeneratorFold(
         g, sigma, tau, oracles.central_family_generator_values(g, params, 1, -1, 4))
-    assert fold.backing == "generator"
     for x in g.ball(3):
         assert family.value(x) == direct.value(x) == fold.value(x)
 
@@ -327,44 +324,6 @@ def test_central_family_not_quasi_inner_with_loop_witness():
     assert sigma(gg.inverse()) * h == h * tau(gg.inverse())
     # and it has the documented shape (sigma(g) z^r, g)
     assert h == sigma(gg) * g.element((0, 0, 2))
-
-
-def test_extend_to_word_well_defined():
-    g = builtin_group("heisenberg_Z")
-    params = HeisenbergParams(1, 1, 0, 0)
-    sigma, tau = params.endomorphisms(g)
-    D = DerivationTable.from_generator_values(
-        g, sigma, tau, oracles.central_family_generator_values(g, params, 1, 1, 0))
-    # two words for x y: direct, and x y (x^-1 x)
-    w1 = [(0, 1), (1, 1)]
-    w2 = [(0, 1), (1, 1), (0, -1), (0, 1)]
-    assert extend_to_word(D, w1) == extend_to_word(D, w2)
-
-
-def test_generator_values_accept_consistent_assignment():
-    # D(x) = x, D(y) = y with sigma = tau = id is the derivation
-    # g -> (a+b) g, which respects all relations
-    g = builtin_group("heisenberg_Z")
-    e = identity_endomorphism(g)
-    dx = AlgebraElement.indicator(g, g.element((1, 0, 0)))
-    dy = AlgebraElement.indicator(g, g.element((0, 1, 0)))
-    D = DerivationTable.from_generator_values(g, e, e, [dx, dy])
-    for a, b, c in ((2, 1, 0), (0, 3, -2), (-1, -1, 4)):
-        x = g.element((a, b, c))
-        assert D.value(x) == AlgebraElement.indicator(
-            g, x, GaussianRational(a + b, 0))
-
-
-def test_generator_values_rejected_when_relations_break():
-    g = builtin_group("heisenberg_Z")
-    sigma = identity_endomorphism(g)
-    tau = identity_endomorphism(g)
-    # D(x) = y forces D([x,y]) to a non-central value, contradicting
-    # the required commutation of z with x
-    dx = AlgebraElement.indicator(g, g.element((0, 1, 0)))
-    dy = AlgebraElement.zero(g)
-    with pytest.raises(WellDefinednessError):
-        DerivationTable.from_generator_values(g, sigma, tau, [dx, dy])
 
 
 def test_derivation_json_round_trip():

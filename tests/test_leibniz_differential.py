@@ -1,14 +1,16 @@
 """Differential tests for the one Leibniz check and its pair lists.
 
-check_leibniz proves the rule on a finite group from the generator pairs
-(g2, s) and scans every pair only to name the first violation; it stops
-at the first violation on explicit pairs too. leibniz_pairs builds those
-pairs. The references below are the code they replaced, kept in the
-test: the check that scanned every pair and kept every violation, and
-the three pair lists built by hand, in cli._validated_table (None on a
-finite group, the pairs whose product stays in the ball on heisenberg_Z),
-cli._cmd_central and groupoid.character_from_derivation (every pair of
-the scope).
+check_leibniz proves the rule from a cover times letters: on a finite
+group the generator pairs (g2, s), on a heisenberg_Z ball B(R) the pairs
+(g, s) for g in B(2R - 1) and s in x, y and their inverses, for a
+closed form. It scans the pairs only to name the first violation; it
+stops at the first violation on explicit pairs too. leibniz_pairs gives
+those pairs. The references below are the code they replaced, kept in
+the test: the check that scanned every pair and kept every violation,
+and the three pair lists built by hand, in cli._validated_table (None on
+a finite group, the pairs whose product stays in the ball on
+heisenberg_Z), cli._cmd_central and groupoid.character_from_derivation
+(every pair of the scope).
 
 ok, the first violation and the pairs must equal the references on
 finite builtins of order <= 24, with sigma and tau drawn from the
@@ -17,10 +19,14 @@ included), for inner-derivation tables, some perturbed at a random
 (g, h), some with D(e) != 0 and some perturbed on a coset of the first
 generator, which only another generator refutes; and on heisenberg_Z balls of radius <= 3
 for rule-backed derivations and for ball tables read back through
-from_json, some perturbed.
+from_json, some perturbed. The ball proof must also match the full scan
+of B(R) x B(R), R <= 4, for closed forms wrapped to add one term at e,
+in B(R), on the sphere of radius 2R, which a cover one radius short
+misses, or at x^-2R, which letters without inverses miss.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -63,6 +69,16 @@ def reference_check_leibniz(D, pairs=None):
         if lhs != rhs:
             violations.append((g2, g1, lhs, rhs))
     return {"ok": not violations, "violations": violations}
+
+
+def reference_first_violation(D, pairs):
+    """The replaced check, stopped at the first violation: [] or a list
+    of that one violation."""
+    for pair in pairs:
+        violations = reference_check_leibniz(D, [pair])["violations"]
+        if violations:
+            return violations
+    return []
 
 
 def validated_table_pairs(group, scope):
@@ -132,12 +148,12 @@ def finite_tables(draw):
 @given(finite_tables())
 def test_finite_generator_proof_matches_full_scan(D):
     elems = D.group.elements()
-    assert leibniz_pairs(D, elems) is None
+    assert leibniz_pairs(D, None) is None
     assert validated_table_pairs(D.group, elems) is None
     # None stands for all |G|^2 pairs, the list character_from_derivation built
     expected = reference_check_leibniz(D, all_pairs(elems))
     assert reference_check_leibniz(D) == expected
-    result = check_leibniz(D, leibniz_pairs(D, elems))
+    result = check_leibniz(D, leibniz_pairs(D, None))
     assert result["ok"] == expected["ok"]
     assert result["violations"] == expected["violations"][:1]
 
@@ -164,37 +180,93 @@ def test_identity_value_is_proved_zero(n):
     assert result["violations"][0][:2] == (group.identity(), group.identity())
 
 
-@st.composite
-def heisenberg_derivations(draw):
-    """(D, scope, reference pairs): a rule-backed derivation, or a ball
-    table read back through from_json, on a ball of radius <= 3."""
-    group = HEISENBERG
-    scope = group.ball(draw(st.integers(0, 3)))
+def _closed_form(draw, group):
+    """An inner derivation of a random element, sigma and tau drawn from
+    id, inner and image maps (non-injective ones included), or a member
+    of the central family."""
     if draw(st.booleans()):
         endomorphisms = heisenberg_endomorphisms(group)
         sigma, tau = draw(endomorphisms), draw(endomorphisms)
-        D = inner_derivation(
+        return inner_derivation(
             _algebra_element(draw, group, group.ball(2)), sigma, tau)
-    else:
-        params = HeisenbergParams(*(draw(SMALL) for _ in range(4)))
-        D = heisenberg_central_family(params, draw(SMALL), draw(SMALL),
-                                      draw(SMALL), group=group)
+    params = HeisenbergParams(*(draw(SMALL) for _ in range(4)))
+    return heisenberg_central_family(params, draw(SMALL), draw(SMALL),
+                                     draw(SMALL), group=group)
+
+
+@st.composite
+def heisenberg_derivations(draw):
+    """(D, radius, reference pairs): a rule-backed derivation, or a ball
+    table read back through from_json, on a ball of radius <= 3."""
+    group = HEISENBERG
+    radius = draw(st.integers(0, 3))
+    scope = group.ball(radius)
+    D = _closed_form(draw, group)
     if draw(st.booleans()):
-        return D, scope, all_pairs(scope)
+        return D, radius, all_pairs(scope)
     table = DerivationTable.from_table(group, D.sigma, D.tau,
                                        _perturbed(draw, D, scope))
     D = DerivationTable.from_json(group, D.sigma, D.tau,
                                   table.to_json(scope=scope), scope=scope)
-    return D, scope, validated_table_pairs(group, scope)
+    return D, radius, validated_table_pairs(group, scope)
 
 
 @settings(max_examples=100, deadline=None)
 @given(heisenberg_derivations())
 def test_heisenberg_pairs_and_first_violation_match(case):
-    D, scope, reference_pairs = case
-    pairs = leibniz_pairs(D, scope)
-    assert pairs == reference_pairs
+    D, radius, reference_pairs = case
+    pairs = leibniz_pairs(D, radius)
+    assert len(pairs) == len(reference_pairs)
+    assert list(pairs) == reference_pairs
     expected = reference_check_leibniz(D, reference_pairs)
     result = check_leibniz(D, pairs)
     assert result["ok"] == expected["ok"]
     assert result["violations"] == expected["violations"][:1]
+
+
+@lru_cache(maxsize=None)
+def _sphere(radius):
+    """The elements of word length exactly radius."""
+    inner = set(HEISENBERG.ball(radius - 1)) if radius else set()
+    return [g for g in HEISENBERG.ball(radius) if g not in inner]
+
+
+@st.composite
+def ball_closed_forms(draw):
+    """(D, R): a closed form on heisenberg_Z with R <= 4, wrapped half the
+    time to add one term at e, at a point of B(R), at a point of the
+    sphere of radius 2R, or at x^-2R."""
+    group = HEISENBERG
+    radius = draw(st.integers(0, 4))
+    D = _closed_form(draw, group)
+    where = draw(st.sampled_from(("none", "e", "ball", "sphere", "x^-2R")))
+    if where == "none":
+        return D, radius
+    if where == "e":
+        target = group.identity()
+    elif where == "ball":
+        target = draw(st.sampled_from(group.ball(radius)))
+    elif where == "sphere":
+        target = draw(st.sampled_from(_sphere(2 * radius)))
+    else:
+        target = group.element((-2 * radius, 0, 0))
+    term = AlgebraElement.indicator(
+        group, draw(st.sampled_from(group.ball(2))), _scalar(draw) or 1)
+
+    def rule(g):
+        return D.value(g) + term if g == target else D.value(g)
+
+    return DerivationTable.from_rule(group, D.sigma, D.tau, rule), radius
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball_closed_forms())
+def test_ball_proof_matches_full_scan(case):
+    D, radius = case
+    reference_pairs = all_pairs(HEISENBERG.ball(radius))
+    pairs = leibniz_pairs(D, radius)
+    assert len(pairs) == len(reference_pairs)
+    expected = reference_first_violation(D, reference_pairs)
+    result = check_leibniz(D, pairs)
+    assert result["ok"] == (not expected)
+    assert result["violations"] == expected

@@ -2,12 +2,10 @@ import pytest
 
 from twisted_derivations import (
     GroupoidView,
-    NotASubgroup,
     SubgroupDescription,
     UnsupportedSubgroup,
     builtin_group,
     character_space_dimension,
-    commutator_subgroup,
     identity_endomorphism,
     inner_endomorphism,
     is_fc,
@@ -73,27 +71,6 @@ def test_rank2_nilpotency():
     h = builtin_group("heisenberg_Z")
     sigma = inner_endomorphism(h, h.element((1, 1, 0)))
     assert is_rank2_nilpotent(h, sigma, sigma)
-
-
-def test_commutator_subgroup_s3():
-    g = builtin_group("symmetric", 3)
-    derived = commutator_subgroup(g, g.elements())
-    assert len(derived) == 3  # the 3-cycles with the identity
-
-
-def test_commutator_subgroup_q8():
-    g = builtin_group("quaternion8")
-    derived = commutator_subgroup(g, g.elements())
-    labels = {g.label(x) for x in derived}
-    assert labels == {"1", "-1"}
-
-
-def test_commutator_subgroup_validates_input():
-    g = builtin_group("symmetric", 3)
-    with pytest.raises(NotASubgroup):
-        commutator_subgroup(g, [g.element(1)])  # missing identity
-    with pytest.raises(NotASubgroup):
-        commutator_subgroup(g, [g.element(0), g.element(4)])  # not closed
 
 
 def test_character_space_dimensions():
