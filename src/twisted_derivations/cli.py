@@ -20,6 +20,7 @@ from . import __version__
 from .derivations import (
     DerivationTable,
     Potential,
+    _require_finite_tables,
     check_leibniz,
     derivation_space,
     inner_space,
@@ -190,34 +191,48 @@ def _endo_from_images(group, images: dict):
 # -- report plumbing ---------------------------------------------------------
 
 
-def _resolve_radius(group, args, command):
-    # the radius the job reports, none on a finite group; exports are
-    # size-sensitive, so Group.ball refuses a heisenberg_Z one without it
-    if group.kind == "finite":
+def _resolve_radius(group, args):
+    # the radius the job reports: none on a finite group or for central,
+    # which reads --check-radius; exports are size-sensitive, so
+    # Group.ball refuses a heisenberg_Z one without it
+    if group.kind == "finite" or getattr(args, "action", None) == "central":
         return None
-    if args.radius is not None or command == "groupoid-export":
+    if args.radius is not None or args.command == "groupoid-export":
         return args.radius
     return DEFAULT_RADIUS
 
 
-def _job(args, command, group, radius, extras=None):
+def _job(args, group, radius):
+    """The job header: the G, sigma, tau and scope the report was computed
+    from, and only the inputs its action read. central's pair is built
+    from --params; quasi-inner reads --potential when given, else
+    --derivation. Built after the handler, which refused any bad input.
+    """
+    action = getattr(args, "action", None)
     job = {
-        "command": command,
+        "command": args.command,
         "group": args.group,
         "group_name": group.name,
         "sigma": args.sigma,
         "tau": args.tau,
         "radius": radius,
     }
-    if extras:
-        job.update(extras)
+    if action == "central":
+        sigma_a, sigma_b, sigma_c, tau_c = _central_params(args)
+        job.update(sigma=f"inner:[{sigma_a},{sigma_b},{sigma_c}]",
+                   tau=f"inner:[{sigma_a},{sigma_b},{tau_c}]")
+    if action:
+        job["action"] = action
+    if getattr(args, "element", None) is not None:
+        job["element"] = args.element
+    if action == "quasi-inner" and args.potential:
+        job["potential"] = args.potential
+    elif action in ("check-inner", "quasi-inner"):
+        job["derivation"] = args.derivation
+    elif action == "central":
+        job.update(params=args.params, mu=args.mu, nu=args.nu, r=args.r,
+                   check_radius=args.check_radius)
     return job
-
-
-def _report(job, body):
-    report = {"tool_version": __version__, "job": job}
-    report.update(body)
-    return report
 
 
 def _emit(args, text: str):
@@ -240,6 +255,12 @@ def _render(args, report: dict) -> str:
     return json.dumps(report, indent=2, default=str) + "\n"
 
 
+def _loop_witness(group, result):
+    witness = result["loop_witness"]
+    return (None if witness is None else
+            [group.element_to_json(witness[0]), group.element_to_json(witness[1])])
+
+
 def _class_body(view, cls):
     group = view.group
     return {
@@ -254,8 +275,7 @@ def _class_body(view, cls):
 
 
 def cmd_group_info(args, group, sigma, tau, radius):
-    report = structure_report(group, sigma, tau, radius=radius)
-    return report.to_json()
+    return structure_report(group, sigma, tau, radius=radius)
 
 
 def cmd_classes(args, group, sigma, tau, radius):
@@ -319,6 +339,9 @@ def cmd_derivations(args, group, sigma, tau, radius):
     if action == "check-inner":
         if not args.derivation:
             raise SpecError("check-inner needs --derivation <file>")
+        # is_inner solves on finite groups only: refuse before the file
+        # is read and scanned, whatever it holds
+        _require_finite_tables(group, sigma, tau)
         D = _validated_table(group, sigma, tau, args.derivation, radius)
         result = is_inner(D)
         witness = result["witness"]
@@ -347,14 +370,11 @@ def cmd_derivations(args, group, sigma, tau, radius):
             body = {}
         else:
             raise SpecError("quasi-inner needs --potential or --derivation")
-        witness = result["loop_witness"]
         body["quasi_inner"] = result["quasi_inner"]
-        body["loop_witness"] = (
-            None if witness is None else
-            [group.element_to_json(witness[0]), group.element_to_json(witness[1])])
+        body["loop_witness"] = _loop_witness(group, result)
         return body
     if action == "central":
-        return _cmd_central(args, group, sigma, tau, radius)
+        return _cmd_central(args, group)
     raise SpecError(f"unknown derivations action {action!r}")
 
 
@@ -394,7 +414,7 @@ def _central_params(args):
         raise SpecError(f"--params needs four integers, got {args.params!r}")
 
 
-def _cmd_central(args, group, sigma, tau, radius):
+def _cmd_central(args, group):
     if group.kind != "heisenberg_Z":
         raise UnsupportedParameter(
             "the central-derivation family is defined on heisenberg_Z",
@@ -405,7 +425,6 @@ def _cmd_central(args, group, sigma, tau, radius):
     pairs = leibniz_pairs(D, args.check_radius)
     leibniz = check_leibniz(D, pairs)
     quasi = is_quasi_inner(D, scope=pairs.ball)
-    witness = quasi["loop_witness"]
     return {
         "params": params,
         "mu": args.mu,
@@ -415,9 +434,7 @@ def _cmd_central(args, group, sigma, tau, radius):
         "pairs_checked": len(pairs),
         "leibniz_ok": leibniz["ok"],
         "quasi_inner": quasi["quasi_inner"],
-        "loop_witness": (
-            None if witness is None else
-            [group.element_to_json(witness[0]), group.element_to_json(witness[1])]),
+        "loop_witness": _loop_witness(group, quasi),
     }
 
 
@@ -516,43 +533,23 @@ _HANDLERS = {
 }
 
 
-def _extras(args):
-    out = {}
-    if getattr(args, "action", None):
-        out["action"] = args.action
-    if getattr(args, "element", None) is not None:
-        out["element"] = args.element
-    for name in ("derivation", "potential", "params"):
-        if getattr(args, name, None):
-            out[name] = getattr(args, name)
-    if getattr(args, "action", None) == "central":
-        # the pair the family is built on, not --sigma/--tau, and no
-        # --radius: central reads only --check-radius
-        sigma_a, sigma_b, sigma_c, tau_c = _central_params(args)
-        out.update(sigma=f"inner:[{sigma_a},{sigma_b},{sigma_c}]",
-                   tau=f"inner:[{sigma_a},{sigma_b},{tau_c}]", radius=None,
-                   mu=args.mu, nu=args.nu, r=args.r,
-                   check_radius=args.check_radius)
-    return out
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         group = parse_group_spec(args.group)
-        sigma = parse_endo_spec(group, args.sigma)
-        tau = parse_endo_spec(group, args.tau)
-        radius = _resolve_radius(group, args, args.command)
+        sigma = tau = None  # central builds its pair from --params
+        if getattr(args, "action", None) != "central":
+            sigma = parse_endo_spec(group, args.sigma)
+            tau = parse_endo_spec(group, args.tau)
+        radius = _resolve_radius(group, args)
         body = _HANDLERS[args.command](args, group, sigma, tau, radius)
+        job = _job(args, group, radius)
         if args.command == "groupoid-export":
-            job = _job(args, args.command, group, radius)
-            header = (f"// tool_version: {__version__}\n"
-                      f"// job: {json.dumps(job, sort_keys=True)}\n")
-            _emit(args, header + body)
+            _emit(args, f"// tool_version: {__version__}\n"
+                        f"// job: {json.dumps(job, sort_keys=True)}\n" + body)
         else:
-            report = _report(_job(args, args.command, group, radius,
-                                  _extras(args)), body)
+            report = {"tool_version": __version__, "job": job, **body}
             _emit(args, _render(args, report))
         return 0
     except LibraryError as exc:

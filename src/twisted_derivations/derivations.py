@@ -244,27 +244,43 @@ class BallPairs:
         return product(self.ball, self.ball)
 
 
+class InBallPairs:
+    """The pairs (g2, g1) of group.ball(radius) x group.ball(radius) whose
+    product g2 g1 stays in the ball, in canonical order (g2 first),
+    iterated lazily: its len counts them, and no pair list is built."""
+
+    def __init__(self, group, radius):
+        self.ball = group.ball(radius)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def __iter__(self):
+        in_ball = set(self.ball)
+        return ((g2, g1) for g2, g1 in product(self.ball, self.ball)
+                if g2 * g1 in in_ball)
+
+
 def leibniz_pairs(D: DerivationTable, radius):
     """The pairs (g2, g1) of group.ball(radius) that check_leibniz answers
     for: None on a finite group (every pair); on heisenberg_Z every pair
     for a closed form, as BallPairs, and for a table read on the ball the
-    list of pairs whose product stays in it.
+    pairs whose product stays in it, as InBallPairs.
     """
     group = D.group
     if group.kind == "finite":
         return None
     if D.backing == "rule":
         return BallPairs(group, radius)
-    ball = group.ball(radius)
-    in_ball = set(ball)
-    return [(g2, g1) for g2 in ball for g1 in ball if g2 * g1 in in_ball]
+    return InBallPairs(group, radius)
 
 
 def check_leibniz(D: DerivationTable, pairs=None):
     """Exact check of D(g2 g1) = D(g2) tau(g1) + sigma(g2) D(g1).
 
     pairs is what leibniz_pairs gives: None for every pair of a finite
-    group, BallPairs for every pair of B(R) = group.ball(R), or a list.
+    group, BallPairs for every pair of B(R) = group.ball(R), or any other
+    iterable of pairs, such as InBallPairs.
 
     None and BallPairs are proved from a cover times letters: on a finite
     group the pairs (g, s) for every g and generator s; on B(R) the pairs
@@ -280,7 +296,7 @@ def check_leibniz(D: DerivationTable, pairs=None):
     and w lie in the cover, so every pair of B(R) x B(R) is reached. The
     cover reads D on B(2R), where only a closed form is known, so
     leibniz_pairs gives BallPairs only for a rule-backed D; a table read
-    on a ball is unknown off it, and its list of in-ball pairs is scanned
+    on a ball is unknown off it, and its in-ball pairs are scanned
     directly. The pairs are scanned only when the proof fails, to decide
     and to name the first violation.
 

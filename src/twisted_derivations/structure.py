@@ -1,13 +1,14 @@
 """Structural predicates and the decomposition report.
 
-The headline check is verify_decomposition: for a finite group it runs
-the derivation-space solver and the structural dimension count
+The headline check is verify_decomposition: for a finite group it
+compares the derivation-space solver's dimension with the structural
+count
 
-    dim Der = dim Inn + sum over class representatives of dim Z*(a)
+    dim Der = dim Inn + sum over class representatives of dim Z*(a).
 
-independently and compares them. Character spaces Z*(a) = Hom(Z(a), C+)
-of finite centralizers are zero by torsion, so on finite groups the
-comparison is exactly the statement that every derivation is inner.
+Character spaces Z*(a) = Hom(Z(a), C+) of finite centralizers are zero
+by torsion, so on finite groups the comparison is exactly the statement
+that every derivation is inner.
 """
 
 from __future__ import annotations
@@ -95,87 +96,56 @@ def character_space_dimension(subgroup) -> int:
         f"cannot size the character space of {type(subgroup).__name__}")
 
 
-class StructureReport:
-    """Everything cmd_group_info prints: abelianness, FC status, rank-2
-    nilpotency, the twisted center, and per-class centralizer data."""
-
-    def __init__(self, group, sigma, tau, radius, is_abelian, fc,
-                 rank2, center, class_summary, per_class):
-        self.group = group
-        self.sigma = sigma
-        self.tau = tau
-        self.radius = radius
-        self.is_sigma_tau_abelian = is_abelian
-        self.is_fc = fc
-        self.is_rank2_nilpotent = rank2
-        self.center = center
-        self.class_summary = class_summary
-        self.per_class = per_class
-
-    def to_json(self):
-        group = self.group
-        return {
-            "group": group.name,
-            "is_sigma_tau_abelian": self.is_sigma_tau_abelian,
-            "is_fc": _fc_to_json(self.is_fc),
-            "is_rank2_nilpotent": self.is_rank2_nilpotent,
-            "center": center_to_json(group, self.center),
-            "class_summary": [
-                {"representative": group.element_to_json(rep), "size": size}
-                for rep, size in self.class_summary],
-            "per_class": self.per_class,
-        }
-
-
 def _fc_to_json(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     return value
 
 
-def structure_report(group, sigma, tau, radius=None) -> StructureReport:
-    """The group-info report. On a finite group each centralizer order is
-    |G| / |class| by orbit-stabilizer (the class is the orbit of the
-    right action a -> sigma(g^-1) a tau(g), the centralizer its
-    stabilizer), and each character space is 0 by torsion."""
+def structure_report(group, sigma, tau, radius=None) -> dict:
+    """The group-info report: abelianness, FC status, rank-2 nilpotency,
+    the twisted center, and per-class centralizer data. On a finite group
+    each centralizer order is |G| / |class| by orbit-stabilizer (the class
+    is the orbit of the right action a -> sigma(g^-1) a tau(g), the
+    centralizer its stabilizer), and each character space is 0 by
+    torsion."""
     view = GroupoidView(group, sigma, tau, radius=radius)
-    is_abelian = is_sigma_tau_abelian(group, sigma, tau)
-    fc = is_fc(group, sigma, tau)
-    rank2 = is_rank2_nilpotent(group, sigma, tau)
-    center = view.center()
-    class_summary = []
-    per_class = []
-    if group.kind == "finite":
-        for cls in view.components():
-            rep = cls[0]
-            class_summary.append((rep, len(cls)))
-            per_class.append({
-                "representative": group.element_to_json(rep),
-                "centralizer_size": group.order // len(cls),
-                "char_space_dim": 0,
-            })
-    else:
-        for cls in view.components():
-            rep = cls[0]
-            central, _ = is_sigma_tau_central(rep, sigma, tau)
-            class_summary.append((rep, 1 if central else "infinite-in-ball"))
-            centralizer = view.centralizer(rep)
-            per_class.append({
-                "representative": group.element_to_json(rep),
-                "centralizer": centralizer.to_json(),
-                "char_space_dim": character_space_dimension(centralizer),
-            })
-    return StructureReport(group, sigma, tau, radius, is_abelian, fc,
-                           rank2, center, class_summary, per_class)
+    report = {
+        "group": group.name,
+        "is_sigma_tau_abelian": is_sigma_tau_abelian(group, sigma, tau),
+        "is_fc": _fc_to_json(is_fc(group, sigma, tau)),
+        "is_rank2_nilpotent": is_rank2_nilpotent(group, sigma, tau),
+        "center": center_to_json(group, view.center()),
+        "class_summary": [],
+        "per_class": [],
+    }
+    for cls in view.components():
+        rep = group.element_to_json(cls[0])
+        if group.kind == "finite":
+            size = len(cls)
+            entry = {"centralizer_size": group.order // size,
+                     "char_space_dim": 0}
+        else:
+            central, _ = is_sigma_tau_central(cls[0], sigma, tau)
+            size = 1 if central else "infinite-in-ball"
+            centralizer = view.centralizer(cls[0])
+            entry = {"centralizer": centralizer.to_json(),
+                     "char_space_dim": character_space_dimension(centralizer)}
+        report["class_summary"].append({"representative": rep, "size": size})
+        report["per_class"].append({"representative": rep, **entry})
+    return report
 
 
 def verify_decomposition(group, sigma, tau) -> dict:
     """Check dim Der = dim Inn + sum of character-space dimensions.
 
-    The left side comes from the derivation-space solver, the right from
-    the class/centralizer analysis; neither consults the other, so
-    agreement is evidence and disagreement would be a counterexample,
-    not an exception. Finite groups only.
+    dim Der is the rank deficit of exact elimination. The elimination
+    runs one block per twisted class, and dim Inn counts the same
+    classes, so both sides rest on one partition (twisted_class_indices);
+    tests/test_solver_differential.py checks it against the all-rows
+    solver and a brute-force partition. Within that partition the rank
+    is computed, not counted, so agreement is evidence and disagreement
+    would be a counterexample, not an exception. Finite groups only.
     """
     if group.kind != "finite":
         raise NotSupportedForScope(

@@ -101,6 +101,37 @@ def brute_hom_set(group, sigma, tau, a, b):
     return out
 
 
+def class_walk_potential(group, sigma, tau, D):
+    """A p with p tau(g) - sigma(g) p = D(g) for an inner D, by walking
+    each twisted class; returns (p as a dict over every element, the
+    number of classes).
+
+    Each class is started at its largest element index, where p is 0,
+    and spread along u -> sigma(s) u tau(s)^-1 for generators s: the
+    coefficient of sigma(s) u in D(s) is p(sigma(s) u tau(s)^-1) - p(u).
+    In a finite group these moves reach the whole class. For an inner D
+    every path gives the same values, so p is the one coboundary witness
+    that vanishes at the top of each class.
+    """
+    from twisted_derivations import GaussianRational
+    p = {}
+    classes = 0
+    for root in sorted(group.elements(), key=lambda g: g.payload, reverse=True):
+        if root in p:
+            continue
+        classes += 1
+        p[root] = GaussianRational(0)
+        frontier = [root]
+        while frontier:
+            u = frontier.pop()
+            for s in group.generators:
+                v = sigma(s) * u * tau(s).inverse()
+                if v not in p:
+                    p[v] = p[u] + D.value(s).coefficient(sigma(s) * u)
+                    frontier.append(v)
+    return p, classes
+
+
 def brute_ordinary_classes(group):
     elems = group.elements()
     seen = set()

@@ -211,6 +211,48 @@ def test_central_job_names_the_pair_it_used():
                          "check_radius"]
     same = run_cli(*argv, "--sigma", "inner:[2,3,0]", "--tau", "inner:[2,3,1]")
     assert same.stdout == ignored.stdout
+    # not read, so not parsed: specs no group element fits are no error
+    junk = run_cli(*argv, "--sigma", "inner:[9,9]", "--tau", "images:{x:[1,0,0]}")
+    assert junk.stdout == ignored.stdout
+
+
+def test_job_names_only_the_inputs_read(tmp_path):
+    derivation = tmp_path / "d.json"
+    derivation.write_text(json.dumps({"D": {}}))
+    potential = tmp_path / "p.json"
+    potential.write_text(json.dumps({"values": [{"elem": 1, "re": "1"}]}))
+    missing = str(tmp_path / "nothing.json")
+    common = ("--group", "builtin:s3", "--params", "1,2,3,4")
+    dim = out_json(run_cli("derivations", "dim", *common,
+                           "--potential", missing, "--derivation", missing))
+    assert list(dim["job"]) == ["command", "group", "group_name", "sigma",
+                                "tau", "radius", "action"]
+    # quasi-inner reads --potential when given, check-inner --derivation
+    quasi = out_json(run_cli("derivations", "quasi-inner", *common,
+                             "--potential", str(potential),
+                             "--derivation", str(derivation)))
+    assert quasi["job"]["potential"] == str(potential)
+    assert "derivation" not in quasi["job"] and "params" not in quasi["job"]
+    check = out_json(run_cli("derivations", "check-inner", *common,
+                             "--potential", str(potential),
+                             "--derivation", str(derivation)))
+    assert check["job"]["derivation"] == str(derivation)
+    assert "potential" not in check["job"] and "params" not in check["job"]
+
+
+def test_check_inner_heisenberg_refused_before_reading_file(tmp_path):
+    # D(x) = e on B(2) breaks Leibniz at (x, x), but is_inner solves on
+    # finite groups only, so the file is never read: exit 3 whatever it holds
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"D": {"[1,0,0]": {"terms": [
+        {"elem": [0, 0, 0], "re": "1"}]}}}))
+    for path in (bad, tmp_path / "nothing.json"):
+        proc = run_cli("derivations", "check-inner", "--group",
+                       "builtin:heisenberg_Z", "--radius", "2",
+                       "--derivation", str(path), check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stderr) == {"error": "NotSupportedForScope",
+                                           "message": "finite groups only"}
 
 
 def test_central_check_radius_8():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from twisted_derivations import (
     is_inner,
     is_quasi_inner,
     is_sigma_tau_central,
+    leibniz_pairs,
     quasi_inner_from_potential,
 )
 
@@ -357,3 +359,22 @@ def test_potential_json_round_trip():
     g = builtin_group("heisenberg_Z")
     P = Potential(g, {g.element((1, 0, 0)): GaussianRational(2, -1)})
     assert Potential.from_json(g, P.to_json()).values == P.values
+
+
+def test_ball_table_check_builds_no_pair_list():
+    # a radius-2 table read on B(8): of the 1793^2 pairs, 1,046,545 have
+    # their product in the ball, and a list of them takes about 64 MiB
+    g = builtin_group("heisenberg_Z")
+    sigma = inner_endomorphism(g, g.element((1, 0, 0)))
+    tau = inner_endomorphism(g, g.element((0, 1, 0)))
+    P = Potential(g, {g.element((1, 0, 0)): GaussianRational(1)})
+    blob = quasi_inner_from_potential(P, sigma, tau).to_json(scope=g.ball(2))
+    D = DerivationTable.from_json(g, sigma, tau, blob, scope=g.ball(8))
+    tracemalloc.start()
+    try:
+        result = check_leibniz(D, leibniz_pairs(D, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result["ok"] is False
+    assert peak < 8 * 2**20

@@ -131,8 +131,7 @@ def test_class_sizes_sum_to_group_order():
 def test_structure_report_finite():
     g = builtin_group("symmetric", 3)
     e = identity_endomorphism(g)
-    report = structure_report(g, e, e)
-    blob = report.to_json()
+    blob = structure_report(g, e, e)
     assert blob["is_sigma_tau_abelian"] is False
     assert blob["is_fc"] == "true"
     assert blob["is_rank2_nilpotent"] is False
@@ -145,8 +144,7 @@ def test_structure_report_heisenberg():
     g = builtin_group("heisenberg_Z")
     sigma = inner_endomorphism(g, g.element((2, 3, 0)))
     tau = inner_endomorphism(g, g.element((2, 3, 1)))
-    report = structure_report(g, sigma, tau, radius=2)
-    blob = report.to_json()
+    blob = structure_report(g, sigma, tau, radius=2)
     assert blob["is_fc"] == "truncated-unknown"
     assert blob["is_rank2_nilpotent"] is True
     assert blob["center"]["abelianization_rank"] == 1

@@ -232,7 +232,7 @@ def heisenberg_endomorphisms(draw):
 @given(finite_pairs())
 def test_finite_structure_matches_centralizer_scans(pair):
     group, sigma, tau = pair
-    blob = structure_report(group, sigma, tau).to_json()
+    blob = structure_report(group, sigma, tau)
     assert (blob["class_summary"], blob["per_class"]) == (
         reference_report_classes(group, sigma, tau))
     view = GroupoidView(group, sigma, tau)
@@ -288,7 +288,7 @@ def test_heisenberg_class_sizes_match_class_listing(x, y, radius):
     group = builtin_group("heisenberg_Z")
     sigma = inner_endomorphism(group, group.element(x))
     tau = inner_endomorphism(group, group.element(y))
-    blob = structure_report(group, sigma, tau, radius=radius).to_json()
+    blob = structure_report(group, sigma, tau, radius=radius)
     view = GroupoidView(group, sigma, tau, radius=radius)
     sizes = ["infinite-in-ball" if view.conjugacy_class(cls[0]).truncated
              else 1 for cls in view.components()]
