@@ -20,7 +20,6 @@ from . import __version__
 from .derivations import (
     DerivationTable,
     Potential,
-    _require_finite_tables,
     check_leibniz,
     derivation_space,
     inner_space,
@@ -29,7 +28,13 @@ from .derivations import (
     leibniz_pairs,
     quasi_inner_from_potential,
 )
-from .errors import LibraryError, NotADerivation, SpecError, UnsupportedParameter
+from .errors import (
+    LibraryError,
+    NotADerivation,
+    NotSupportedForScope,
+    SpecError,
+    UnsupportedParameter,
+)
 from .groups import (
     DEFAULT_RADIUS,
     HeisenbergParams,
@@ -192,10 +197,9 @@ def _endo_from_images(group, images: dict):
 
 
 def _resolve_radius(group, args):
-    # the radius the job reports: none on a finite group or for central,
-    # which reads --check-radius; exports are size-sensitive, so
-    # Group.ball refuses a heisenberg_Z one without it
-    if group.kind == "finite" or getattr(args, "action", None) == "central":
+    # the radius the job reports, none on a finite group; exports are
+    # size-sensitive, so Group.ball refuses a heisenberg_Z one without it
+    if group.kind == "finite":
         return None
     if args.radius is not None or args.command == "groupoid-export":
         return args.radius
@@ -220,7 +224,7 @@ def _job(args, group, radius):
     if action == "central":
         sigma_a, sigma_b, sigma_c, tau_c = _central_params(args)
         job.update(sigma=f"inner:[{sigma_a},{sigma_b},{sigma_c}]",
-                   tau=f"inner:[{sigma_a},{sigma_b},{tau_c}]")
+                   tau=f"inner:[{sigma_a},{sigma_b},{tau_c}]", radius=None)
     if action:
         job["action"] = action
     if getattr(args, "element", None) is not None:
@@ -341,7 +345,8 @@ def cmd_derivations(args, group, sigma, tau, radius):
             raise SpecError("check-inner needs --derivation <file>")
         # is_inner solves on finite groups only: refuse before the file
         # is read and scanned, whatever it holds
-        _require_finite_tables(group, sigma, tau)
+        if group.kind != "finite":
+            raise NotSupportedForScope("finite groups only")
         D = _validated_table(group, sigma, tau, args.derivation, radius)
         result = is_inner(D)
         witness = result["witness"]

@@ -247,18 +247,28 @@ class BallPairs:
 class InBallPairs:
     """The pairs (g2, g1) of group.ball(radius) x group.ball(radius) whose
     product g2 g1 stays in the ball, in canonical order (g2 first),
-    iterated lazily: its len counts them, and no pair list is built."""
+    iterated lazily, and no pair list is built. An iteration run to the
+    end records how many pairs it gave; len returns that count, and walks
+    B(R) x B(R) once to take it only if no iteration has finished."""
 
     def __init__(self, group, radius):
         self.ball = group.ball(radius)
+        self._count = None
 
     def __len__(self):
-        return sum(1 for _ in self)
+        if self._count is None:
+            for _ in self:
+                pass
+        return self._count
 
     def __iter__(self):
         in_ball = set(self.ball)
-        return ((g2, g1) for g2, g1 in product(self.ball, self.ball)
-                if g2 * g1 in in_ball)
+        count = 0
+        for g2, g1 in product(self.ball, self.ball):
+            if g2 * g1 in in_ball:
+                count += 1
+                yield g2, g1
+        self._count = count
 
 
 def leibniz_pairs(D: DerivationTable, radius):

@@ -1,15 +1,15 @@
 """Check that two checkouts print the same bytes for the same CLI jobs.
 
-    python3 tools/same_output.py OLD NEW [--seed 1] [--rounds 2] [--jobs FILE]
+    python3 tools/same_output.py OLD NEW [--rounds 2]
 
 OLD and NEW are checkout roots. The job list is --rounds rounds of each
-benchmark workload at --seed (from this checkout's bench/workloads.py,
+benchmark workload at seed 1 (from this checkout's bench/workloads.py,
 with every file they read written once to a shared directory), then the
-CLI_COMMANDS of tests/test_acceptance.py, then the argv lists in the JSON
-file --jobs, if given. Each checkout runs the whole list in its own
-interpreter, importing twisted_derivations from its src/ and calling
-cli.main(argv) once per job. Every job whose exit code, stdout or stderr
-differs is printed, and the exit status is 1 if any does.
+CLI_COMMANDS of tests/test_acceptance.py, then EDGE_CASES below. Each
+checkout runs the whole list in its own interpreter, importing
+twisted_derivations from its src/ and calling cli.main(argv) once per
+job through bench/run.call_cli. Every job whose exit code, stdout or
+stderr differs is printed, and the exit status is 1 if any does.
 """
 
 from __future__ import annotations
@@ -23,25 +23,86 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
 
-# run in each checkout: argv is src_dir, jobs file, results file
+# files the edge cases read, written to one directory; an argument
+# "@name" is the path of that file there, which need not exist
+EDGE_FILES = {
+    "s3_pot.json": {"values": [{"elem": 1, "re": "1"}]},
+    # the coboundary of s3_pot.json for sigma = tau = id
+    "s3_inner.json": {"D": {
+        "2": {"terms": [{"elem": 3, "re": "-1"}, {"elem": 4, "re": "1"}]},
+        "3": {"terms": [{"elem": 2, "re": "-1"}, {"elem": 5, "re": "1"}]},
+        "4": {"terms": [{"elem": 2, "re": "1"}, {"elem": 5, "re": "-1"}]},
+        "5": {"terms": [{"elem": 3, "re": "1"}, {"elem": 4, "re": "-1"}]}}},
+    "heis_pot.json": {"values": [{"elem": [1, 0, 0], "re": "1"}]},
+    "heis_zero.json": {"D": {}},
+    # D(x) = e, zero elsewhere: breaks Leibniz at (x, x^-1) for any pair
+    "heis_bad.json": {"D": {"[1,0,0]": {"terms": [{"elem": [0, 0, 0], "re": "1"}]}}},
+}
+
+HEIS = ["--group", "builtin:heisenberg_Z"]
+HEIS_PAIR = HEIS + ["--sigma", "inner:[1,0,0]", "--tau", "inner:[0,1,0]"]
+S3 = ["--group", "builtin:s3"]
+
+# options an action does not read, unparseable specs, missing and
+# refused files, and scope refusals
+EDGE_CASES = [
+    ["derivations", "central"] + HEIS + ["--params", "1,2,0,0",
+                                          "--sigma", "inner:[9,9]"],
+    ["derivations", "central"] + HEIS + [
+        "--params", "1,2,0,0", "--sigma", "inner:[1,2,0]",
+        "--tau", "inner:[1,2,0]", "--derivation", "@nothing.json"],
+    ["derivations", "central"] + HEIS + ["--params", "1,2,0,0",
+                                          "--tau", "images:{x:[1,0,0]}"],
+    ["derivations", "central"] + S3 + ["--params", "junk"],
+    ["derivations", "central"] + S3 + ["--params", "1,2,3,4",
+                                        "--sigma", "inner:[9,9]"],
+    ["derivations", "central"] + HEIS,
+    ["derivations", "central"] + HEIS + ["--params", "1,x,0,0"],
+    ["derivations", "dim"] + S3 + ["--params", "1,2,3,4",
+                                    "--potential", "@nothing.json"],
+    ["derivations", "dim"] + S3 + ["--sigma", "inner:[9,9]"],
+    ["derivations", "quasi-inner"] + S3 + ["--potential", "@s3_pot.json",
+                                            "--derivation", "@s3_inner.json"],
+    ["derivations", "quasi-inner"] + S3 + ["--derivation", "@s3_inner.json"],
+    ["derivations", "check-inner"] + S3 + ["--derivation", "@s3_inner.json",
+                                            "--potential", "@s3_pot.json"],
+    ["derivations", "check-inner"] + S3 + ["--derivation", "@nothing.json"],
+    ["derivations", "check-inner"] + HEIS_PAIR + [
+        "--radius", "2", "--derivation", "@heis_zero.json"],
+    ["derivations", "check-inner"] + HEIS_PAIR + [
+        "--radius", "2", "--derivation", "@heis_bad.json"],
+    ["derivations", "check-inner"] + HEIS + ["--derivation", "@nothing.json"],
+    ["derivations", "quasi-inner"] + HEIS_PAIR + [
+        "--radius", "7", "--derivation", "@heis_bad.json"],
+    ["derivations", "quasi-inner"] + HEIS_PAIR + [
+        "--radius", "3", "--derivation", "@heis_zero.json"],
+    ["derivations", "quasi-inner"] + HEIS_PAIR + [
+        "--radius", "3", "--potential", "@heis_pot.json"],
+    ["derivations", "verify-decomposition"] + HEIS,
+    ["group-info"] + HEIS + ["--sigma", "inner:[2,3,0]",
+                             "--tau", "inner:[2,3,1]", "--radius", "2"],
+    ["group-info"] + S3 + ["--format", "text"],
+    ["group-info"] + HEIS + ["--sigma", "images:{x:[1,0,0],y:[0,1,0]}",
+                             "--tau", "id", "--radius", "2"],
+    ["classes"] + S3 + ["--element", "1"],
+    ["centralizers"] + HEIS + ["--sigma", "inner:[1,0,0]",
+                               "--element", "[0,0,1]", "--radius", "2"],
+    ["center"] + HEIS + ["--sigma", "inner:[1,0,0]", "--tau", "inner:[1,0,0]"],
+    ["groupoid-export"] + HEIS + ["--sigma", "inner:[1,1,0]"],
+]
+
+# run in each checkout: argv is this checkout's root, the checkout's
+# src dir, the jobs file and the results file
 WORKER = """
-import contextlib, io, json, sys, traceback
-sys.path.insert(0, sys.argv[1])
+import json, os, sys
+sys.path.insert(0, os.path.join(sys.argv[1], "bench"))
+from run import call_cli
+sys.path.insert(0, sys.argv[2])
 from twisted_derivations.cli import main
-results = []
-for argv in json.load(open(sys.argv[2])):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        except Exception:
-            code = None
-            traceback.print_exc()
-    results.append([code, out.getvalue(), err.getvalue()])
-json.dump(results, open(sys.argv[3], "w"))
+results = [call_cli(main, argv) for argv in json.load(open(sys.argv[3]))]
+json.dump(results, open(sys.argv[4], "w"))
 """
 
 
@@ -57,17 +118,27 @@ def acceptance_commands():
     raise SystemExit(f"same_output: no CLI_COMMANDS in {path}")
 
 
-def workload_jobs(seed, rounds, workdir):
+def workload_jobs(rounds, workdir):
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
     jobs = []
     for name in workloads.WORKLOADS:
         stream_dir = os.path.join(workdir, name)
         os.makedirs(stream_dir)
-        stream = workloads.Stream(name, seed, stream_dir)
+        stream = workloads.Stream(name, SEED, stream_dir)
         for _ in range(rounds):
             jobs.extend(job.argv for job in stream.next_round())
     return jobs
+
+
+def edge_jobs(workdir):
+    edge_dir = os.path.join(workdir, "edge")
+    os.makedirs(edge_dir)
+    for name, obj in EDGE_FILES.items():
+        with open(os.path.join(edge_dir, name), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    return [[os.path.join(edge_dir, arg[1:]) if arg.startswith("@") else arg
+             for arg in argv] for argv in EDGE_CASES]
 
 
 def run_all(checkouts, jobs_path, workdir):
@@ -79,7 +150,7 @@ def run_all(checkouts, jobs_path, workdir):
             raise SystemExit(f"same_output: no src/twisted_derivations in {checkout}")
         out = os.path.join(workdir, f"results_{i}.json")
         procs.append((subprocess.Popen(
-            [sys.executable, "-c", WORKER, src, jobs_path, out]),
+            [sys.executable, "-c", WORKER, ROOT, src, jobs_path, out]),
             out, checkout))
     results = []
     for proc, out, checkout in procs:
@@ -94,18 +165,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
     parser.add_argument("new")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=2,
                         help="rounds of each workload; 0 runs no workload job")
-    parser.add_argument("--jobs", default=None,
-                        help="JSON file with a list of further argv lists")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_output_") as workdir:
-        jobs = workload_jobs(args.seed, args.rounds, workdir)
-        jobs += acceptance_commands()
-        if args.jobs:
-            with open(args.jobs, encoding="utf-8") as fh:
-                jobs += json.load(fh)
+        jobs = workload_jobs(args.rounds, workdir)
+        jobs += acceptance_commands() + edge_jobs(workdir)
         jobs_path = os.path.join(workdir, "jobs.json")
         with open(jobs_path, "w", encoding="utf-8") as fh:
             json.dump(jobs, fh)
