@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 malformed input, 3 out-of-scope request,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -116,23 +117,21 @@ def parse_element(group, token: str):
     return group.element_from_json(token)
 
 
-def _split_top(text: str, sep: str):
-    """Split on sep at bracket depth zero, so [a,b,c] survives."""
+def _split_top(text: str, sep: str, maxsplit: int = -1):
+    """Split on sep at bracket depth zero, so [a,b,c] survives; at most
+    maxsplit times when maxsplit is not negative."""
     parts = []
-    depth = 0
-    current = []
-    for ch in text:
+    depth = start = 0
+    for i, ch in enumerate(text):
         if ch in "[{":
             depth += 1
         elif ch in "]}":
             depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p for p in (part.strip() for part in parts) if p]
+        elif ch == sep and depth == 0 and len(parts) != maxsplit:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def parse_endo_spec(group, spec: str):
@@ -145,11 +144,11 @@ def parse_endo_spec(group, spec: str):
         if not (body.startswith("{") and body.endswith("}")):
             raise SpecError(f"images spec needs braces, got {spec!r}")
         images = {}
-        for item in _split_top(body[1:-1], ","):
-            key, colon, value = _partition_top(item, ":")
-            if not colon:
+        for item in filter(None, map(str.strip, _split_top(body[1:-1], ","))):
+            key, *value = _split_top(item, ":", 1)
+            if not value:
                 raise SpecError(f"images entry {item!r} is not key:element")
-            images[key.strip()] = value.strip()
+            images[key.strip()] = value[0].strip()
         return _endo_from_images(group, images)
     if spec.startswith("file:"):
         obj = _load_json_file(spec[len("file:"):])
@@ -161,18 +160,6 @@ def parse_endo_spec(group, spec: str):
     raise SpecError(
         f"endomorphism spec {spec!r} is not id, inner:..., images:{{...}}, "
         "or file:...")
-
-
-def _partition_top(text: str, sep: str):
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            return text[:i], sep, text[i + 1:]
-    return text, "", ""
 
 
 def _endo_from_images(group, images: dict):
@@ -196,23 +183,12 @@ def _endo_from_images(group, images: dict):
 # -- report plumbing ---------------------------------------------------------
 
 
-def _resolve_radius(group, args):
-    # the radius the job reports, none on a finite group; exports are
-    # size-sensitive, so Group.ball refuses a heisenberg_Z one without it
-    if group.kind == "finite":
-        return None
-    if args.radius is not None or args.command == "groupoid-export":
-        return args.radius
-    return DEFAULT_RADIUS
-
-
 def _job(args, group, radius):
     """The job header: the G, sigma, tau and scope the report was computed
-    from, and only the inputs its action read. central's pair is built
-    from --params; quasi-inner reads --potential when given, else
-    --derivation. Built after the handler, which refused any bad input.
+    from, then the command's own options that have a value, in the order
+    its parser declares them. central's pair is built from --params.
+    Built after the handler, which refused any bad input.
     """
-    action = getattr(args, "action", None)
     job = {
         "command": args.command,
         "group": args.group,
@@ -221,26 +197,20 @@ def _job(args, group, radius):
         "tau": args.tau,
         "radius": radius,
     }
-    if action == "central":
-        sigma_a, sigma_b, sigma_c, tau_c = _central_params(args)
-        job.update(sigma=f"inner:[{sigma_a},{sigma_b},{sigma_c}]",
-                   tau=f"inner:[{sigma_a},{sigma_b},{tau_c}]", radius=None)
-    if action:
-        job["action"] = action
-    if getattr(args, "element", None) is not None:
-        job["element"] = args.element
-    if action == "quasi-inner" and args.potential:
-        job["potential"] = args.potential
-    elif action in ("check-inner", "quasi-inner"):
-        job["derivation"] = args.derivation
-    elif action == "central":
-        job.update(params=args.params, mu=args.mu, nu=args.nu, r=args.r,
-                   check_radius=args.check_radius)
+    if args.command == "derivations":
+        job["action"] = args.action
+        if args.action == "central":
+            sigma_a, sigma_b, sigma_c, tau_c = _central_params(args)
+            job.update(sigma=f"inner:[{sigma_a},{sigma_b},{sigma_c}]",
+                       tau=f"inner:[{sigma_a},{sigma_b},{tau_c}]", radius=None)
+    for dest in args.reads:
+        if getattr(args, dest) is not None:
+            job[dest] = getattr(args, dest)
     return job
 
 
 def _emit(args, text: str):
-    if getattr(args, "output", None):
+    if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -329,58 +299,57 @@ def cmd_groupoid_export(args, group, sigma, tau, radius):
     return to_dot(view)
 
 
-def cmd_derivations(args, group, sigma, tau, radius):
-    action = args.action
-    if action == "dim":
-        space = derivation_space(group, sigma, tau)
-        inner = inner_space(group, sigma, tau)
-        return {"dimension": space["dimension"],
-                "inner_dimension": inner["dimension"]}
-    if action == "basis":
-        space = derivation_space(group, sigma, tau)
-        return {"dimension": space["dimension"],
-                "basis": [D.to_json() for D in space["basis"]]}
-    if action == "check-inner":
-        if not args.derivation:
-            raise SpecError("check-inner needs --derivation <file>")
-        # is_inner solves on finite groups only: refuse before the file
-        # is read and scanned, whatever it holds
-        if group.kind != "finite":
-            raise NotSupportedForScope("finite groups only")
+def cmd_dim(args, group, sigma, tau, radius):
+    space = derivation_space(group, sigma, tau)
+    inner = inner_space(group, sigma, tau)
+    return {"dimension": space["dimension"],
+            "inner_dimension": inner["dimension"]}
+
+
+def cmd_basis(args, group, sigma, tau, radius):
+    space = derivation_space(group, sigma, tau)
+    return {"dimension": space["dimension"],
+            "basis": [D.to_json() for D in space["basis"]]}
+
+
+def cmd_check_inner(args, group, sigma, tau, radius):
+    # is_inner solves on finite groups only: refuse before the file is
+    # read and scanned, whatever it holds
+    if group.kind != "finite":
+        raise NotSupportedForScope("finite groups only")
+    D = _validated_table(group, sigma, tau, args.derivation, radius)
+    result = is_inner(D)
+    witness = result["witness"]
+    return {
+        "is_inner": result["is_inner"],
+        "witness": witness.to_json() if witness is not None else None,
+        "kernel_dimension": result["kernel_dimension"],
+    }
+
+
+def cmd_verify_decomposition(args, group, sigma, tau, radius):
+    return verify_decomposition(group, sigma, tau)
+
+
+def cmd_quasi_inner(args, group, sigma, tau, radius):
+    scope = group.ball(radius)
+    if args.potential:
+        blob = _load_json_file(args.potential)
+        if not isinstance(blob, dict) or "values" not in blob:
+            raise SpecError(
+                f"{args.potential} is not a potential file: "
+                "expected a 'values' list", path=args.potential)
+        P = Potential.from_json(group, blob)
+        D = quasi_inner_from_potential(P, sigma, tau)
+        result = is_quasi_inner(D, scope=scope)
+        body = {"derivation": D.to_json(scope=scope)}
+    else:
         D = _validated_table(group, sigma, tau, args.derivation, radius)
-        result = is_inner(D)
-        witness = result["witness"]
-        return {
-            "is_inner": result["is_inner"],
-            "witness": witness.to_json() if witness is not None else None,
-            "kernel_dimension": result["kernel_dimension"],
-        }
-    if action == "verify-decomposition":
-        return verify_decomposition(group, sigma, tau)
-    if action == "quasi-inner":
-        scope = group.ball(radius)
-        if args.potential:
-            blob = _load_json_file(args.potential)
-            if not isinstance(blob, dict) or "values" not in blob:
-                raise SpecError(
-                    f"{args.potential} is not a potential file: "
-                    "expected a 'values' list", path=args.potential)
-            P = Potential.from_json(group, blob)
-            D = quasi_inner_from_potential(P, sigma, tau)
-            result = is_quasi_inner(D, scope=scope)
-            body = {"derivation": D.to_json(scope=scope)}
-        elif args.derivation:
-            D = _validated_table(group, sigma, tau, args.derivation, radius)
-            result = is_quasi_inner(D, scope=scope)
-            body = {}
-        else:
-            raise SpecError("quasi-inner needs --potential or --derivation")
-        body["quasi_inner"] = result["quasi_inner"]
-        body["loop_witness"] = _loop_witness(group, result)
-        return body
-    if action == "central":
-        return _cmd_central(args, group)
-    raise SpecError(f"unknown derivations action {action!r}")
+        result = is_quasi_inner(D, scope=scope)
+        body = {}
+    body["quasi_inner"] = result["quasi_inner"]
+    body["loop_witness"] = _loop_witness(group, result)
+    return body
 
 
 def _validated_table(group, sigma, tau, path, radius):
@@ -395,8 +364,7 @@ def _validated_table(group, sigma, tau, path, radius):
     if not isinstance(obj, dict) or "D" not in obj:
         raise SpecError(f"{path} is not a derivation file: expected a 'D' table",
                         path=path)
-    scope = group.ball(radius)
-    D = DerivationTable.from_json(group, sigma, tau, obj, scope=scope)
+    D = DerivationTable.from_json(group, sigma, tau, obj, radius=radius)
     leibniz = check_leibniz(D, leibniz_pairs(D, radius))
     if not leibniz["ok"]:
         g2, g1, _lhs, _rhs = leibniz["violations"][0]
@@ -419,7 +387,7 @@ def _central_params(args):
         raise SpecError(f"--params needs four integers, got {args.params!r}")
 
 
-def _cmd_central(args, group):
+def cmd_central(args, group, sigma, tau, radius):
     if group.kind != "heisenberg_Z":
         raise UnsupportedParameter(
             "the central-derivation family is defined on heisenberg_Z",
@@ -447,6 +415,12 @@ def _cmd_central(args, group):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Errors raise SpecError (exit 2). Options are never abbreviated:
+    --r, unread outside central, would otherwise pass for --radius."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise SpecError(f"argument error: {message}")
 
@@ -469,71 +443,97 @@ def _int_at_least(low):
     return parse
 
 
-def _add_common(parser, formats=("json", "text")):
-    parser.add_argument("--group", required=True,
-                        help="builtin:<name> or file:<path>")
-    parser.add_argument("--sigma", default="id",
-                        help="id | inner:<element> | images:{...} | file:<path>")
-    parser.add_argument("--tau", default="id",
-                        help="id | inner:<element> | images:{...} | file:<path>")
-    parser.add_argument("--radius", type=_int_at_least(0), default=None,
-                        help="truncation radius for heisenberg_Z (default 4)")
-    parser.add_argument("--output", default=None,
-                        help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=list(formats), default=formats[0])
+def _common(formats=("json", "text"), radius=DEFAULT_RADIUS):
+    """The options every command takes, as a parent parser whose actions
+    its commands share rather than rebuild."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--group", required=True,
+                   help="builtin:<name> or file:<path>")
+    p.add_argument("--sigma", default="id",
+                   help="id | inner:<element> | images:{...} | file:<path>")
+    p.add_argument("--tau", default="id",
+                   help="id | inner:<element> | images:{...} | file:<path>")
+    p.add_argument("--radius", type=_int_at_least(0), default=radius,
+                   help=f"truncation radius for heisenberg_Z (default {radius})")
+    p.add_argument("--output", default=None,
+                   help="write the report here instead of stdout")
+    p.add_argument("--format", choices=list(formats), default=formats[0])
+    return p
 
 
+def _command(sub, common, name, help, *options, one_of=False):
+    """The parser of one command or derivations action: the common options,
+    then the (flag, add_argument keywords) pairs its handler reads, exactly
+    one of them if one_of. Any other option is refused; the job header
+    names these own options that have a value, in this order."""
+    p = sub.add_parser(name, help=help, parents=[common])
+    own = p.add_mutually_exclusive_group(required=True) if one_of else p
+    p.set_defaults(reads=tuple(
+        own.add_argument(flag, **keywords).dest for flag, keywords in options))
+
+
+# built once per process, since parse_args leaves the parser as it was:
+# its eleven command parsers take about as long to build as a small job
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="twisted-derivations",
                      description="exact (sigma,tau)-derivation computations")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group-info", help="structural summary of the pair")
-    _add_common(p)
-
-    p = sub.add_parser("classes", help="twisted conjugacy classes")
-    _add_common(p)
-    p.add_argument("--element", default=None,
-                   help="report only the class of this element")
-
-    p = sub.add_parser("centralizers", help="twisted centralizers")
-    _add_common(p)
-    p.add_argument("--element", default=None,
-                   help="report only the centralizer of this element")
-
-    p = sub.add_parser("center", help="the twisted center")
-    _add_common(p)
-
-    p = sub.add_parser("derivations", help="derivation-space computations")
-    p.add_argument("action", choices=[
-        "dim", "basis", "check-inner", "verify-decomposition",
-        "quasi-inner", "central"])
-    _add_common(p)
-    p.add_argument("--derivation", default=None,
-                   help="derivation table JSON file")
-    p.add_argument("--potential", default=None,
-                   help="potential JSON file for quasi-inner")
-    p.add_argument("--params", default=None,
-                   help="sigma_a,sigma_b,sigma_c,tau_c for central")
-    p.add_argument("--mu", type=int, default=0)
-    p.add_argument("--nu", type=int, default=0)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--check-radius", dest="check_radius",
-                   type=_int_at_least(1), default=3)
-
-    p = sub.add_parser("groupoid-export", help="render the groupoid")
-    _add_common(p, formats=("dot",))
-
+    common = _common()
+    _command(sub, common, "group-info", "structural summary of the pair")
+    _command(sub, common, "classes", "twisted conjugacy classes",
+             ("--element", dict(help="report only the class of this element")))
+    _command(sub, common, "centralizers", "twisted centralizers",
+             ("--element",
+              dict(help="report only the centralizer of this element")))
+    _command(sub, common, "center", "the twisted center")
+    actions = sub.add_parser(
+        "derivations", help="derivation-space computations").add_subparsers(
+            dest="action", required=True)
+    _command(actions, common, "dim", "dimensions of Der and Inn")
+    _command(actions, common, "basis", "a basis of Der")
+    _command(actions, common, "check-inner", "is a derivation file inner",
+             ("--derivation",
+              dict(required=True, help="derivation table JSON file")))
+    _command(actions, common, "verify-decomposition",
+             "Der = Inn, checked vector by vector")
+    _command(actions, common, "quasi-inner",
+             "quasi-innerness on the --radius ball",
+             ("--potential", dict(help="potential JSON file")),
+             ("--derivation", dict(help="derivation table JSON file")),
+             one_of=True)
+    _command(actions, common, "central",
+             "the heisenberg_Z central family; --sigma, --tau and --radius "
+             "are not read",
+             ("--params", dict(help="sigma_a,sigma_b,sigma_c,tau_c")),
+             ("--mu", dict(type=int, default=0)),
+             ("--nu", dict(type=int, default=0)),
+             ("--r", dict(type=int, default=0)),
+             ("--check-radius", dict(type=_int_at_least(1), default=3)))
+    # a truncated picture of an infinite groupoid is easy to misread, so
+    # Group.ball refuses a heisenberg_Z export without an explicit radius
+    _command(sub, _common(formats=("dot",), radius=None), "groupoid-export",
+             "render the groupoid")
     return parser
 
 
+_ACTIONS = {
+    "dim": cmd_dim,
+    "basis": cmd_basis,
+    "check-inner": cmd_check_inner,
+    "verify-decomposition": cmd_verify_decomposition,
+    "quasi-inner": cmd_quasi_inner,
+    "central": cmd_central,
+}
+
+# one handler per command; derivations hands on to its action's handler
 _HANDLERS = {
     "group-info": cmd_group_info,
     "classes": cmd_classes,
     "centralizers": cmd_centralizers,
     "center": cmd_center,
-    "derivations": cmd_derivations,
+    "derivations": lambda args, *rest: _ACTIONS[args.action](args, *rest),
     "groupoid-export": cmd_groupoid_export,
 }
 
@@ -543,11 +543,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         group = parse_group_spec(args.group)
-        sigma = tau = None  # central builds its pair from --params
-        if getattr(args, "action", None) != "central":
-            sigma = parse_endo_spec(group, args.sigma)
-            tau = parse_endo_spec(group, args.tau)
-        radius = _resolve_radius(group, args)
+        central = vars(args).get("action") == "central"  # pair from --params
+        sigma = None if central else parse_endo_spec(group, args.sigma)
+        tau = None if central else parse_endo_spec(group, args.tau)
+        radius = None if group.kind == "finite" else args.radius
         body = _HANDLERS[args.command](args, group, sigma, tau, radius)
         job = _job(args, group, radius)
         if args.command == "groupoid-export":

@@ -132,15 +132,32 @@ class DerivationTable:
         return {"D": out}
 
     @classmethod
-    def from_json(cls, group, sigma, tau, obj, scope=()):
-        """The table of a {"D": ...} object. Elements of scope that the
-        object omits are zero, as in to_json, which skips zero values."""
+    def from_json(cls, group, sigma, tau, obj, radius=None):
+        """The table of a {"D": ...} object.
+
+        Given a radius, it is read on group.ball(radius): elements of the
+        ball that the object omits are zero, as in to_json, which skips
+        zero values, and a key outside the ball raises ScopeExceeded.
+        Two keys naming one element raise SpecError.
+        """
         table = obj.get("D", {})
         if not isinstance(table, dict):
             raise SpecError("'D' must map element keys to algebra elements")
+        scope = () if radius is None else group.ball(radius)
         values = dict.fromkeys(scope, AlgebraElement.zero(group))
+        keys = {}
         for key, val in table.items():
             g = group.element_from_json(_parse_element_key(key))
+            if g in keys:
+                raise SpecError(
+                    f"keys {keys[g]!r} and {key!r} both name element "
+                    f"{group.label(g)}", keys=[keys[g], key])
+            if radius is not None and g not in values:
+                raise ScopeExceeded(
+                    f"derivation table key {key!r} lies outside the ball "
+                    f"of radius {radius}",
+                    element=group.element_to_json(g), radius=radius)
+            keys[g] = key
             values[g] = AlgebraElement.from_json(group, val)
         return cls.from_table(group, sigma, tau, values)
 

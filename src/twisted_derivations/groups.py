@@ -637,21 +637,23 @@ def make_endomorphism(group: Group, images) -> Endomorphism:
     """Extend generator images to an endomorphism and validate it.
 
     images is a list aligned with group.generators, or a dict keyed by
-    the generators. Raises NotAHomomorphism with a witness pair when the
-    extension fails to be multiplicative. On heisenberg_Z it never does:
-    the commutator [p, q] = (0, 0, p0 q1 - p1 q0) of any two images is
-    central, so the relators [x, [x, y]] and [y, [x, y]] map to e.
+    the generators; a missing image or a list of the wrong length is
+    malformed input and raises SpecError. Raises NotAHomomorphism with a
+    witness pair when the extension fails to be multiplicative. On
+    heisenberg_Z it never does: the commutator [p, q] = (0, 0, p0 q1 -
+    p1 q0) of any two images is central, so the relators [x, [x, y]] and
+    [y, [x, y]] map to e.
     """
     if isinstance(images, dict):
         missing = [g for g in group.generators if g not in images]
         if missing:
-            raise NotAHomomorphism(
+            raise SpecError(
                 f"missing image for generator {group.label(missing[0])}",
                 generator=group.element_to_json(missing[0]))
         images = [images[g] for g in group.generators]
     images = list(images)
     if len(images) != len(group.generators):
-        raise NotAHomomorphism(
+        raise SpecError(
             f"expected {len(group.generators)} generator images, got {len(images)}")
     for img in images:
         group._check(img)

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from twisted_derivations.cli import _ACTIONS, _split_top, build_parser, main
+
 
 def run_cli(*args, check=True):
     proc = subprocess.run(
@@ -216,28 +218,165 @@ def test_central_job_names_the_pair_it_used():
     assert junk.stdout == ignored.stdout
 
 
+def test_central_accepts_the_common_options():
+    # README documents --sigma, --tau and --radius on central as accepted
+    # and not read; the benchmark's central jobs pass them as --opt=value
+    proc = run_cli("derivations", "central", "--group=builtin:heisenberg_Z",
+                   "--sigma=inner:[1,2,0]", "--tau=inner:[1,2,1]",
+                   "--radius=5", "--params=1,2,0,1", "--check-radius=2")
+    assert out_json(proc)["job"]["radius"] is None
+
+
+# each derivations action, run with the options it needs, then with one
+# option it does not read: 34 of the 42 action/option pairs
+_BASES = {
+    "dim": ["--group", "builtin:s3"],
+    "basis": ["--group", "builtin:s3"],
+    "verify-decomposition": ["--group", "builtin:s3"],
+    "check-inner": ["--group", "builtin:s3", "--derivation", "@d.json"],
+    "quasi-inner": ["--group", "builtin:s3", "--potential", "@p.json"],
+    "central": ["--group", "builtin:heisenberg_Z", "--params", "1,2,0,1",
+                "--check-radius", "1"],
+}
+_OPTIONS = {"--derivation": "@d.json", "--potential": "@p.json",
+            "--params": "1,2,3,4", "--mu": "1", "--nu": "1", "--r": "1",
+            "--check-radius": "2"}
+_READS = {"check-inner": {"--derivation"},
+          "quasi-inner": {"--potential", "--derivation"},
+          "central": {"--params", "--mu", "--nu", "--r", "--check-radius"}}
+_UNREAD = [(action, option) for action in _BASES for option in _OPTIONS
+           if option not in _READS.get(action, ())]
+assert len(_UNREAD) == 34
+
+
+def _in_process(capsys, tmp_path, action, extra):
+    (tmp_path / "d.json").write_text(json.dumps({"D": {}}))
+    (tmp_path / "p.json").write_text(json.dumps({"values": [{"elem": 1, "re": "1"}]}))
+    argv = ["derivations", action] + [
+        str(tmp_path / arg[1:]) if arg.startswith("@") else arg
+        for arg in _BASES[action] + extra]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("action", _BASES)
+def test_action_base_invocation_runs(capsys, tmp_path, action):
+    code, _out, err = _in_process(capsys, tmp_path, action, [])
+    assert code == 0, err
+
+
+def test_every_action_has_a_handler():
+    def subparsers(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a.choices, dict))
+    actions = subparsers(subparsers(build_parser())["derivations"])
+    assert set(actions) == set(_ACTIONS) == set(_BASES)
+
+
+@pytest.mark.parametrize("action, option", _UNREAD,
+                         ids=[f"{a}{o}" for a, o in _UNREAD])
+def test_unread_option_is_refused(capsys, tmp_path, action, option):
+    code, out, err = _in_process(capsys, tmp_path, action,
+                                 [option, _OPTIONS[option]])
+    assert code == 2 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "SpecError"
+    assert err["message"].startswith(
+        f"argument error: unrecognized arguments: {option} ")
+
+
 def test_job_names_only_the_inputs_read(tmp_path):
     derivation = tmp_path / "d.json"
     derivation.write_text(json.dumps({"D": {}}))
     potential = tmp_path / "p.json"
     potential.write_text(json.dumps({"values": [{"elem": 1, "re": "1"}]}))
-    missing = str(tmp_path / "nothing.json")
-    common = ("--group", "builtin:s3", "--params", "1,2,3,4")
-    dim = out_json(run_cli("derivations", "dim", *common,
-                           "--potential", missing, "--derivation", missing))
-    assert list(dim["job"]) == ["command", "group", "group_name", "sigma",
-                                "tau", "radius", "action"]
-    # quasi-inner reads --potential when given, check-inner --derivation
-    quasi = out_json(run_cli("derivations", "quasi-inner", *common,
-                             "--potential", str(potential),
-                             "--derivation", str(derivation)))
+    s3 = ("--group", "builtin:s3")
+    # options an action does not read are refused, not ignored
+    for argv in [("dim", *s3, "--params", "1,2,3,4", "--potential", str(potential)),
+                 ("quasi-inner", *s3, "--potential", str(potential),
+                  "--derivation", str(derivation)),
+                 ("quasi-inner", *s3),
+                 ("check-inner", *s3, "--derivation", str(derivation),
+                  "--potential", str(potential)),
+                 ("check-inner", *s3)]:
+        proc = run_cli("derivations", *argv, check=False)
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert json.loads(proc.stderr)["error"] == "SpecError", argv
+    # the header is the common part, then the options given, in order
+    common = ["command", "group", "group_name", "sigma", "tau", "radius"]
+    dim = out_json(run_cli("derivations", "dim", *s3))
+    assert list(dim["job"]) == common + ["action"]
+    quasi = out_json(run_cli("derivations", "quasi-inner", *s3,
+                             "--potential", str(potential)))
+    assert list(quasi["job"]) == common + ["action", "potential"]
     assert quasi["job"]["potential"] == str(potential)
-    assert "derivation" not in quasi["job"] and "params" not in quasi["job"]
-    check = out_json(run_cli("derivations", "check-inner", *common,
-                             "--potential", str(potential),
+    quasi = out_json(run_cli("derivations", "quasi-inner", *s3,
                              "--derivation", str(derivation)))
+    assert list(quasi["job"]) == common + ["action", "derivation"]
+    check = out_json(run_cli("derivations", "check-inner", *s3,
+                             "--derivation", str(derivation)))
+    assert list(check["job"]) == common + ["action", "derivation"]
     assert check["job"]["derivation"] == str(derivation)
-    assert "potential" not in check["job"] and "params" not in check["job"]
+    classes = out_json(run_cli("classes", *s3, "--element", "1"))
+    assert list(classes["job"]) == common + ["element"]
+    assert list(out_json(run_cli("classes", *s3))["job"]) == common
+
+
+def test_missing_generator_image_is_malformed():
+    proc = run_cli("classes", "--group", "builtin:s3", "--sigma", "images:{}",
+                   check=False)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SpecError"
+    assert err["message"].startswith("missing image for generator")
+
+
+def test_derivation_file_naming_one_element_twice(tmp_path):
+    # "02" holds 7e and "2" the coboundary's value at 2: read with the
+    # last key winning, the table was certified inner
+    inner = {"D": {
+        "2": {"terms": [{"elem": 3, "re": "-1"}, {"elem": 4, "re": "1"}]},
+        "3": {"terms": [{"elem": 2, "re": "-1"}, {"elem": 5, "re": "1"}]},
+        "4": {"terms": [{"elem": 2, "re": "1"}, {"elem": 5, "re": "-1"}]},
+        "5": {"terms": [{"elem": 3, "re": "1"}, {"elem": 4, "re": "-1"}]}}}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(inner))
+    ok = out_json(run_cli("derivations", "check-inner", "--group", "builtin:s3",
+                          "--derivation", str(path)))
+    assert ok["is_inner"] is True
+    path.write_text(json.dumps({"D": {
+        "02": {"terms": [{"elem": 0, "re": "7"}]}, **inner["D"]}}))
+    proc = run_cli("derivations", "check-inner", "--group", "builtin:s3",
+                   "--derivation", str(path), check=False)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SpecError"
+    assert err["keys"] == ["02", "2"]
+
+
+def test_heisenberg_derivation_file_outside_the_ball(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"D": {"[9,9,9]": {"terms": [
+        {"elem": [0, 0, 0], "re": "1"}]}}}))
+    proc = run_cli("derivations", "quasi-inner", "--group",
+                   "builtin:heisenberg_Z", "--sigma", "inner:[1,0,0]",
+                   "--tau", "inner:[0,1,0]", "--radius", "2",
+                   "--derivation", str(path), check=False)
+    assert proc.returncode == 3 and proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ScopeExceeded"
+    assert (err["element"], err["radius"]) == ([9, 9, 9], 2)
+
+
+def test_images_spec_splits_at_bracket_depth_zero():
+    assert _split_top("x:[1,0,0],y:{a:[0,1]}", ",") == ["x:[1,0,0]", "y:{a:[0,1]}"]
+    assert _split_top("x:[1,0,0]:z", ":", 1) == ["x", "[1,0,0]:z"]
+    assert _split_top(" a ,, b", ",") == [" a ", "", " b"]
+    spec = "images:{ g : 2 , }"
+    blob = out_json(run_cli("derivations", "dim", "--group", "builtin:c4",
+                            "--sigma", spec))
+    assert blob["job"]["sigma"] == spec
 
 
 def test_check_inner_heisenberg_refused_before_reading_file(tmp_path):

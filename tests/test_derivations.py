@@ -15,6 +15,7 @@ from twisted_derivations import (
     NotCentralElement,
     Potential,
     ScopeExceeded,
+    SpecError,
     builtin_group,
     central_derivation,
     check_leibniz,
@@ -345,7 +346,7 @@ def test_heisenberg_table_is_zero_on_its_ball():
     e = identity_endomorphism(g)
     x = g.element((1, 0, 0))
     blob = {"D": {"[1,0,0]": AlgebraElement.indicator(g, x, 3).to_json()}}
-    D = DerivationTable.from_json(g, e, e, blob, scope=g.ball(1))
+    D = DerivationTable.from_json(g, e, e, blob, radius=1)
     assert D.value(x) == AlgebraElement.indicator(g, x, 3)
     assert D.value(g.identity()).is_zero()
     assert D.value(g.element((0, -1, 0))).is_zero()
@@ -353,6 +354,28 @@ def test_heisenberg_table_is_zero_on_its_ball():
         D.value(g.element((2, 0, 0)))
     with pytest.raises(ScopeExceeded):
         DerivationTable.from_json(g, e, e, blob).value(g.identity())
+
+
+def test_table_naming_one_element_twice_is_refused():
+    # "02" and "2" both parse to element 2; neither may silently win
+    g = builtin_group("symmetric", 3)
+    e = identity_endomorphism(g)
+    value = AlgebraElement.indicator(g, g.identity()).to_json()
+    blob = {"D": {"02": value, "1": value, "2": value}}
+    with pytest.raises(SpecError, match="'02' and '2'") as info:
+        DerivationTable.from_json(g, e, e, blob)
+    assert info.value.payload == {"keys": ["02", "2"]}
+
+
+def test_heisenberg_table_key_outside_the_ball_is_refused():
+    g = builtin_group("heisenberg_Z")
+    e = identity_endomorphism(g)
+    blob = {"D": {"[2,0,0]": AlgebraElement.indicator(g, g.identity()).to_json()}}
+    assert DerivationTable.from_json(g, e, e, blob, radius=2).value(
+        g.element((2, 0, 0))) == AlgebraElement.indicator(g, g.identity())
+    with pytest.raises(ScopeExceeded) as info:
+        DerivationTable.from_json(g, e, e, blob, radius=1)
+    assert info.value.payload == {"element": [2, 0, 0], "radius": 1}
 
 
 def test_potential_json_round_trip():
@@ -369,7 +392,7 @@ def test_ball_table_check_builds_no_pair_list():
     tau = inner_endomorphism(g, g.element((0, 1, 0)))
     P = Potential(g, {g.element((1, 0, 0)): GaussianRational(1)})
     blob = quasi_inner_from_potential(P, sigma, tau).to_json(scope=g.ball(2))
-    D = DerivationTable.from_json(g, sigma, tau, blob, scope=g.ball(8))
+    D = DerivationTable.from_json(g, sigma, tau, blob, radius=8)
     tracemalloc.start()
     try:
         result = check_leibniz(D, leibniz_pairs(D, 8))

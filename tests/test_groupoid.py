@@ -272,7 +272,7 @@ def test_character_from_heisenberg_ball_table():
     view = GroupoidView(g, sigma, tau, radius=2)
     ball = view.objects()
     table = DerivationTable.from_json(g, sigma, tau, D.to_json(scope=ball),
-                                      scope=ball)
+                                      radius=2)
     chi = character_from_derivation(view, table)
     assert chi.values == character_from_derivation(view, D).values
     values = {x: table.value(x) for x in ball}

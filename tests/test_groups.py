@@ -11,6 +11,7 @@ from twisted_derivations import (
     NotAssociative,
     NotLatinSquare,
     NotSupportedForScope,
+    SpecError,
     UnsupportedParameter,
     all_automorphisms,
     builtin_group,
@@ -247,6 +248,17 @@ def test_make_endomorphism_s3_witness():
         images[gen] = three_cycle
     with pytest.raises(NotAHomomorphism):
         make_endomorphism(g, images)
+
+
+def test_make_endomorphism_refuses_missing_images():
+    # a map with too few images is malformed input, not a refuted claim
+    g = builtin_group("symmetric", 3)
+    with pytest.raises(SpecError, match="missing image for generator"):
+        make_endomorphism(g, {})
+    with pytest.raises(SpecError, match="expected 2 generator images, got 1"):
+        make_endomorphism(g, [g.identity()])
+    with pytest.raises(SpecError, match="expected 2 generator images, got 3"):
+        make_endomorphism(g, [g.identity()] * 3)
 
 
 def test_make_endomorphism_square_on_c4():

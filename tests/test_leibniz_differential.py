@@ -9,7 +9,7 @@ those pairs. The references below are the code they replaced, kept in
 the test: the check that scanned every pair and kept every violation,
 and the three pair lists built by hand, in cli._validated_table (None on
 a finite group, the pairs whose product stays in the ball on
-heisenberg_Z), cli._cmd_central and groupoid.character_from_derivation
+heisenberg_Z), cli.cmd_central and groupoid.character_from_derivation
 (every pair of the scope).
 
 ok, the first violation and the pairs must equal the references on
@@ -90,7 +90,7 @@ def validated_table_pairs(group, scope):
 
 
 def all_pairs(scope):
-    """The pairs cli._cmd_central and character_from_derivation built."""
+    """The pairs cli.cmd_central and character_from_derivation built."""
     return [(g2, g1) for g2 in scope for g1 in scope]
 
 
@@ -207,7 +207,7 @@ def heisenberg_derivations(draw):
     table = DerivationTable.from_table(group, D.sigma, D.tau,
                                        _perturbed(draw, D, scope))
     D = DerivationTable.from_json(group, D.sigma, D.tau,
-                                  table.to_json(scope=scope), scope=scope)
+                                  table.to_json(scope=scope), radius=radius)
     return D, radius, validated_table_pairs(group, scope)
 
 

@@ -39,14 +39,23 @@ EDGE_FILES = {
     "heis_zero.json": {"D": {}},
     # D(x) = e, zero elsewhere: breaks Leibniz at (x, x^-1) for any pair
     "heis_bad.json": {"D": {"[1,0,0]": {"terms": [{"elem": [0, 0, 0], "re": "1"}]}}},
+    # s3_inner.json with element 2 also named "02", there valued 7e
+    "s3_twice.json": {"D": {
+        "02": {"terms": [{"elem": 0, "re": "7"}]},
+        "2": {"terms": [{"elem": 3, "re": "-1"}, {"elem": 4, "re": "1"}]},
+        "3": {"terms": [{"elem": 2, "re": "-1"}, {"elem": 5, "re": "1"}]},
+        "4": {"terms": [{"elem": 2, "re": "1"}, {"elem": 5, "re": "-1"}]},
+        "5": {"terms": [{"elem": 3, "re": "1"}, {"elem": 4, "re": "-1"}]}}},
+    # one entry, far outside any ball a query reads
+    "heis_far.json": {"D": {"[9,9,9]": {"terms": [{"elem": [0, 0, 0], "re": "1"}]}}},
 }
 
 HEIS = ["--group", "builtin:heisenberg_Z"]
 HEIS_PAIR = HEIS + ["--sigma", "inner:[1,0,0]", "--tau", "inner:[0,1,0]"]
 S3 = ["--group", "builtin:s3"]
 
-# options an action does not read, unparseable specs, missing and
-# refused files, and scope refusals
+# options an action does not read, unparseable specs, missing images,
+# missing, refused and doubly keyed files, and scope refusals
 EDGE_CASES = [
     ["derivations", "central"] + HEIS + ["--params", "1,2,0,0",
                                           "--sigma", "inner:[9,9]"],
@@ -80,6 +89,9 @@ EDGE_CASES = [
         "--radius", "3", "--derivation", "@heis_zero.json"],
     ["derivations", "quasi-inner"] + HEIS_PAIR + [
         "--radius", "3", "--potential", "@heis_pot.json"],
+    ["derivations", "check-inner"] + S3 + ["--derivation", "@s3_twice.json"],
+    ["derivations", "quasi-inner"] + HEIS_PAIR + [
+        "--radius", "2", "--derivation", "@heis_far.json"],
     ["derivations", "verify-decomposition"] + HEIS,
     ["group-info"] + HEIS + ["--sigma", "inner:[2,3,0]",
                              "--tau", "inner:[2,3,1]", "--radius", "2"],
@@ -87,6 +99,7 @@ EDGE_CASES = [
     ["group-info"] + HEIS + ["--sigma", "images:{x:[1,0,0],y:[0,1,0]}",
                              "--tau", "id", "--radius", "2"],
     ["classes"] + S3 + ["--element", "1"],
+    ["classes"] + S3 + ["--sigma", "images:{}"],
     ["centralizers"] + HEIS + ["--sigma", "inner:[1,0,0]",
                                "--element", "[0,0,1]", "--radius", "2"],
     ["center"] + HEIS + ["--sigma", "inner:[1,0,0]", "--tau", "inner:[1,0,0]"],
