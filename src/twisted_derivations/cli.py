@@ -12,10 +12,13 @@ Exit codes: 0 success, 2 malformed input, 3 out-of-scope request,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import re
 import sys
+from itertools import islice
 
 from . import __version__
 from .derivations import (
@@ -209,24 +212,53 @@ def _job(args, group, radius):
     return job
 
 
+# chunks of the JSON encoder joined per write: a report is never held as
+# one string, so the memory it takes beyond its dict is one batch
+_BATCH = 2048
+
+
 def _emit(args, text: str):
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SpecError(f"cannot write {args.output}: {exc.strerror}",
-                            path=args.output)
-    else:
-        sys.stdout.write(text)
+    args.destination.write(text)
 
 
-def _render(args, report: dict) -> str:
+def _render(args, report: dict):
+    """Write the report as it is encoded: one line per write in text
+    format, one _BATCH of the JSON encoder's chunks per write otherwise."""
     if args.format == "text":
-        lines = [f"{key}: {json.dumps(value, default=str)}"
-                 for key, value in report.items()]
-        return "\n".join(lines) + "\n"
-    return json.dumps(report, indent=2, default=str) + "\n"
+        for key, value in report.items():
+            _emit(args, f"{key}: {json.dumps(value, default=str)}\n")
+        return
+    chunks = json.JSONEncoder(indent=2, default=str).iterencode(report)
+    while batch := list(islice(chunks, _BATCH)):
+        _emit(args, "".join(batch))
+    _emit(args, "\n")
+
+
+def _write_report(args, job, body):
+    """Stream the report to --output, opened once, or to stdout.
+
+    An OSError from opening, writing or flushing is a SpecError (exit 2);
+    the destination may then hold part of the report.
+    """
+    try:
+        with (open(args.output, "w", encoding="utf-8") if args.output else
+              contextlib.nullcontext(sys.stdout)) as args.destination:
+            if args.command == "groupoid-export":
+                _emit(args, f"// tool_version: {__version__}\n"
+                            f"// job: {json.dumps(job, sort_keys=True)}\n")
+                _emit(args, body)
+            else:
+                _render(args, {"tool_version": __version__, "job": job, **body})
+            args.destination.flush()
+    except OSError as exc:
+        if not args.output and sys.stdout is sys.__stdout__:
+            # the interpreter flushes stdout again at exit; pointed at the
+            # null device, that flush cannot fail and print a second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        name = args.output or "<stdout>"
+        raise SpecError(f"cannot write {name}: {exc.strerror}", path=name)
 
 
 def _loop_witness(group, result):
@@ -548,13 +580,7 @@ def main(argv=None) -> int:
         tau = None if central else parse_endo_spec(group, args.tau)
         radius = None if group.kind == "finite" else args.radius
         body = _HANDLERS[args.command](args, group, sigma, tau, radius)
-        job = _job(args, group, radius)
-        if args.command == "groupoid-export":
-            _emit(args, f"// tool_version: {__version__}\n"
-                        f"// job: {json.dumps(job, sort_keys=True)}\n" + body)
-        else:
-            report = {"tool_version": __version__, "job": job, **body}
-            _emit(args, _render(args, report))
+        _write_report(args, _job(args, group, radius), body)
         return 0
     except LibraryError as exc:
         sys.stderr.write(json.dumps(exc.to_json(), default=str) + "\n")

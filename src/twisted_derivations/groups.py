@@ -14,7 +14,7 @@ general finitely-presented-group machinery here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 
 from .errors import (
@@ -740,8 +740,10 @@ def all_automorphisms(group: Group):
     return found
 
 
-@dataclass(frozen=True)
-class HeisenbergParams:
+# a namedtuple rather than a dataclass: importing dataclasses also loads
+# inspect, ast, dis and tokenize, some 8 ms of the CLI's import
+class HeisenbergParams(namedtuple("HeisenbergParams",
+                                  "sigma_a sigma_b sigma_c tau_c")):
     """Witness entries for the inner pair sigma, tau on the Heisenberg group.
 
     sigma is conjugation by (sigma_a, sigma_b, sigma_c) and tau by
@@ -751,10 +753,7 @@ class HeisenbergParams:
     entry) while remaining distinct as witnesses.
     """
 
-    sigma_a: int
-    sigma_b: int
-    sigma_c: int
-    tau_c: int
+    __slots__ = ()
 
     def witnesses(self, group: Group):
         if group.kind != "heisenberg_Z":

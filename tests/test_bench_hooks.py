@@ -88,3 +88,18 @@ def test_traced_cli_jobs_run(tmp_path, capsys):
     # whose product stays in the ball, check-inner counts |G|^2 for None
     assert tracer.metrics()["derivations.leibniz_pairs"] == (
         len(ball2) ** 2 + table_pairs + s3.order ** 2)
+
+
+def test_traced_stdout_bytes_count_every_batch(capsys):
+    tracer = _tracing().Tracer()
+    tracer.install(twisted_derivations)
+    try:
+        code = twisted_derivations.cli.main(
+            ["derivations", "basis", "--group", "builtin:dihedral_8"])
+    finally:
+        tracer.uninstall()
+    printed = capsys.readouterr().out
+    assert code == 0
+    # one _render call and the _emit calls of its batches
+    assert tracer.calls["cli.render"] > 3
+    assert tracer.metrics()["cli.stdout_bytes"] == len(printed.encode())

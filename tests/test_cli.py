@@ -1,10 +1,27 @@
+import argparse
+import contextlib
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from twisted_derivations.cli import _ACTIONS, _split_top, build_parser, main
+from twisted_derivations import __version__
+from twisted_derivations.cli import (
+    _ACTIONS,
+    _BATCH,
+    _render,
+    _split_top,
+    build_parser,
+    cmd_basis,
+    main,
+    parse_endo_spec,
+    parse_group_spec,
+)
 
 
 def run_cli(*args, check=True):
@@ -664,6 +681,64 @@ def test_output_flag_writes_file(tmp_path):
     run_cli("classes", "--group", "builtin:s3", "--output", str(path))
     blob = json.loads(path.read_text())
     assert blob["sizes"] == [1, 2, 3]
+    # a report written in several batches: the file gets stdout's bytes
+    argv = ("derivations", "basis", "--group", "builtin:dihedral_8")
+    printed = run_cli(*argv).stdout
+    chunks = json.JSONEncoder(indent=2).iterencode(json.loads(printed))
+    assert sum(1 for _ in chunks) > 2 * _BATCH
+    run_cli(*argv, "--output", str(path))
+    assert path.read_bytes() == printed.encode()
+
+
+def test_render_streams_in_bounded_batches():
+    # the whole text, held as one string or as a list of its chunks,
+    # would take several times the report's size on top of the output
+    group = parse_group_spec("builtin:dihedral_18")
+    body = cmd_basis(None, group, parse_endo_spec(group, "inner:3"),
+                     parse_endo_spec(group, "inner:4"), None)
+    report = {"tool_version": __version__, **body}
+    expected = json.dumps(report, indent=2, default=str) + "\n"
+    assert len(expected) > 200_000
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        _render(argparse.Namespace(format="json", destination=out), report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue() == expected
+    assert peak < 2 * len(expected)
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_stdout_write_exits_2(capsys):
+    with contextlib.redirect_stdout(_FullStdout()):
+        code = main(["derivations", "dim", "--group", "builtin:s3"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SpecError",
+        "message": f"cannot write <stdout>: {os.strerror(errno.ENOSPC)}",
+        "path": "<stdout>",
+    }
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("group", ["builtin:s3", "builtin:dihedral_8"])
+def test_failed_stdout_write_exits_2_in_a_process(group):
+    # s3's report fails only when flushed, dihedral_8's while being written;
+    # either way stderr carries the one error object and nothing after it
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twisted_derivations", "derivations",
+             "basis", "--group", group],
+            stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "SpecError" and err["path"] == "<stdout>"
 
 
 def test_text_format():
