@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import os
 import re
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import __version__
 from .derivations import (
@@ -222,25 +223,31 @@ def _emit(args, text: str):
 
 
 def _render(args, report: dict):
-    """Write the report as it is encoded: one line per write in text
-    format, one _BATCH of the JSON encoder's chunks per write otherwise."""
+    """Write the report as it is encoded, one _BATCH of the JSON encoder's
+    chunks per write: indented JSON, or in text format one line per
+    top-level key, "key: " and the value's compact JSON."""
     if args.format == "text":
-        for key, value in report.items():
-            _emit(args, f"{key}: {json.dumps(value, default=str)}\n")
-        return
-    chunks = json.JSONEncoder(indent=2, default=str).iterencode(report)
+        encoder = json.JSONEncoder(default=str)
+        chunks = chain.from_iterable(
+            chain((f"{key}: ",), encoder.iterencode(value), ("\n",))
+            for key, value in report.items())
+    else:
+        chunks = chain(json.JSONEncoder(indent=2, default=str).iterencode(report),
+                       ("\n",))
     while batch := list(islice(chunks, _BATCH)):
         _emit(args, "".join(batch))
-    _emit(args, "\n")
 
 
 def _write_report(args, job, body):
     """Stream the report to --output, opened once, or to stdout.
 
     An OSError from opening, writing or flushing is a SpecError (exit 2);
-    the destination may then hold part of the report.
+    the destination may then hold part of the report. So is a closed
+    stdout, which the interpreter leaves as None.
     """
     try:
+        if not args.output and sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         with (open(args.output, "w", encoding="utf-8") if args.output else
               contextlib.nullcontext(sys.stdout)) as args.destination:
             if args.command == "groupoid-export":
@@ -251,7 +258,8 @@ def _write_report(args, job, body):
                 _render(args, {"tool_version": __version__, "job": job, **body})
             args.destination.flush()
     except OSError as exc:
-        if not args.output and sys.stdout is sys.__stdout__:
+        if (not args.output and sys.stdout is not None
+                and sys.stdout is sys.__stdout__):
             # the interpreter flushes stdout again at exit; pointed at the
             # null device, that flush cannot fail and print a second error
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -10,11 +10,12 @@ componentwise
 
     lambda(h, g2 g1) = lambda(h tau(g1^-1), g2) + lambda(sigma(g2^-1) h, g1).
 
-Derivations on finite groups are stored as total value tables. On the
-Heisenberg group they are rule-backed closed forms (the coboundary
-p tau(g) - sigma(g) p of an algebra element p, which for a Potential is
-its quasi-inner derivation, and the central d(g) = phi(g) sigma(g) a),
-or file tables, zero on the ball they were read on.
+A derivation is a value table or a rule, on either group kind. Tables
+hold the solver's basis vectors and file input; a file table on the
+Heisenberg group is zero on the ball it was read on. Rules are closed
+forms, memoized as they are evaluated: the coboundary p tau(g) -
+sigma(g) p of an algebra element p, which for a Potential is its
+quasi-inner derivation, and the central d(g) = phi(g) sigma(g) a.
 """
 
 from __future__ import annotations
@@ -43,20 +44,17 @@ SOLVER_MAX_ORDER = 64
 
 
 class DerivationTable:
-    """Values of a derivation, D(g) as an AlgebraElement per element g.
-
-    backing is one of:
-      "table":     explicit dict, total on finite groups; on heisenberg_Z
-                   it covers a ball and a miss raises ScopeExceeded
-      "rule":      a closed-form callable, total, on heisenberg_Z; finite
-                   groups tabulate the rule instead
+    """Values of a derivation, D(g) as an AlgebraElement per element g,
+    from exactly one of:
+      values:  an explicit dict; a miss is zero on a finite group and
+               raises ScopeExceeded on heisenberg_Z, where it covers a ball
+      rule:    a closed-form callable, total, memoized as it is evaluated
     """
 
-    def __init__(self, group, sigma, tau, backing, values=None, rule=None):
+    def __init__(self, group, sigma, tau, values=None, rule=None):
         self.group = group
         self.sigma = sigma
         self.tau = tau
-        self.backing = backing
         self.values = values
         self.rule = rule
         self._memo = {}
@@ -72,14 +70,11 @@ class DerivationTable:
                 raise GroupMismatch(
                     f"value at {group.label(g)} is not an algebra element")
             clean[g] = val
-        return cls(group, sigma, tau, "table", values=clean)
+        return cls(group, sigma, tau, values=clean)
 
     @classmethod
     def from_rule(cls, group, sigma, tau, rule):
-        if group.kind == "finite":
-            return cls(group, sigma, tau, "table",
-                       values={g: rule(g) for g in group.elements()})
-        return cls(group, sigma, tau, "rule", rule=rule)
+        return cls(group, sigma, tau, rule=rule)
 
     @classmethod
     def zero(cls, group, sigma, tau):
@@ -90,7 +85,7 @@ class DerivationTable:
 
     def value(self, g) -> AlgebraElement:
         self.group._check(g)
-        if self.backing == "table":
+        if self.rule is None:
             val = self.values.get(g)
             if val is None:
                 if self.group.kind == "finite":
@@ -297,7 +292,7 @@ def leibniz_pairs(D: DerivationTable, radius):
     group = D.group
     if group.kind == "finite":
         return None
-    if D.backing == "rule":
+    if D.rule is not None:
         return BallPairs(group, radius)
     return InBallPairs(group, radius)
 

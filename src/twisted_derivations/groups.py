@@ -57,11 +57,6 @@ def _heis_pow(p, n):
     return (n * a, n * b, n * c + (n * (n - 1) // 2) * a * b)
 
 
-def _heis_conj(x, g):
-    # x g x^{-1}; only the (a, b) part of x enters.
-    return (g[0], g[1], g[2] + x[0] * g[1] - x[1] * g[0])
-
-
 def _heis_sort_key(p):
     a, b, c = p
     return (abs(c), abs(a), abs(b), a, b, c)
@@ -549,10 +544,12 @@ class Endomorphism:
     """A group endomorphism, applied with __call__.
 
     Finite groups store the total element map, proved a homomorphism on
-    the generator pairs (see make_endomorphism). On heisenberg_Z the map is given
-    by generator images and extended through the normal form
-    g = x^a y^b z^(c - a*b); any two images extend, since H3(Z) is free
-    nilpotent of class 2 (see make_endomorphism).
+    the generator pairs (see make_endomorphism). On heisenberg_Z, free
+    nilpotent of class 2, any images p = phi(x), q = phi(y) extend, and
+    expanding g = x^a y^b z^(c - a*b) gives one closed form for every map:
+
+        phi(a, b, c) = (a p0 + b q0, a p1 + b q1, a p2 + b q2 + C(a,2) p0 p1
+                        + C(b,2) q0 q1 + a b p1 q0 + c (p0 q1 - p1 q0)).
     """
 
     def __init__(self, group, table=None, gen_images=None,
@@ -562,29 +559,19 @@ class Endomorphism:
         self.gen_images = gen_images
         self.is_automorphism = is_automorphism
         self.inner_witness = inner_witness
-        self._memo = {}
-        if gen_images is not None and group.kind == "heisenberg_Z":
-            px, py = gen_images
-            self._phi_x = px
-            self._phi_y = py
-            self._phi_z = _heis_mul(_heis_mul(px, py),
-                                    _heis_mul(_heis_inv(px), _heis_inv(py)))
 
     def __call__(self, g: GroupElement) -> GroupElement:
         self.group._check(g)
         if self.table is not None:
             return self.group._elements[self.table[g.payload]]
-        if self.inner_witness is not None:
-            return GroupElement(
-                self.group, _heis_conj(self.inner_witness.payload, g.payload))
-        p = g.payload
-        if p not in self._memo:
-            a, b, c = p
-            img = _heis_mul(
-                _heis_mul(_heis_pow(self._phi_x, a), _heis_pow(self._phi_y, b)),
-                _heis_pow(self._phi_z, c - a * b))
-            self._memo[p] = img
-        return GroupElement(self.group, self._memo[p])
+        (p0, p1, p2), (q0, q1, q2) = self.gen_images
+        a, b, c = g.payload
+        return GroupElement(self.group, (
+            a * p0 + b * q0,
+            a * p1 + b * q1,
+            a * p2 + b * q2 + (a * (a - 1) // 2) * p0 * p1
+            + (b * (b - 1) // 2) * q0 * q1 + a * b * p1 * q0
+            + c * (p0 * q1 - p1 * q0)))
 
     def __repr__(self):
         if self.inner_witness is not None:
@@ -701,9 +688,9 @@ def inner_endomorphism(group: Group, x: GroupElement) -> Endomorphism:
     """The automorphism g -> x g x^{-1}."""
     group._check(x)
     if group.kind == "heisenberg_Z":
-        gens = [GroupElement(group, _heis_conj(x.payload, g.payload))
-                for g in group.generators]
-        return Endomorphism(group, gen_images=[g.payload for g in gens],
+        # x s x^-1 for the generators s = (1, 0, 0) and (0, 1, 0)
+        x0, x1, _x2 = x.payload
+        return Endomorphism(group, gen_images=[(1, 0, -x1), (0, 1, x0)],
                             is_automorphism=True, inner_witness=x)
     xi = x.payload
     x_inv = group.inverse_table[xi]

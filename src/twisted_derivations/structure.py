@@ -126,9 +126,12 @@ def structure_report(group, sigma, tau, radius=None) -> dict:
             entry = {"centralizer_size": group.order // size,
                      "char_space_dim": 0}
         else:
-            central, _ = is_sigma_tau_central(cls[0], sigma, tau)
-            size = 1 if central else "infinite-in-ball"
+            # only inner pairs get here (is_rank2_nilpotent refuses the
+            # rest); the centralizer is everything (alpha = beta = 0) iff
+            # cls[0] is (sigma, tau)-central, iff its class is a singleton
             centralizer = view.centralizer(cls[0])
+            size = (1 if centralizer.kind == "heisenberg_full"
+                    else "infinite-in-ball")
             entry = {"centralizer": centralizer.to_json(),
                      "char_space_dim": character_space_dimension(centralizer)}
         report["class_summary"].append({"representative": rep, "size": size})

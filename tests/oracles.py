@@ -264,3 +264,43 @@ class GeneratorFold:
         out = d_xa.right_mul(self.tau(yb * zm)) + d_tail.left_mul(self.sigma(xa))
         self._memo[g.payload] = out
         return out
+
+
+def _unitriangular(p):
+    a, b, c = p
+    return ((1, a, c), (0, 1, b), (0, 0, 1))
+
+
+def _matmul(m, n):
+    return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(3))
+                       for j in range(3)) for i in range(3))
+
+
+def _unitriangular_inverse(m):
+    # with N = m - I nilpotent of order 3, m^-1 = I - N + N^2
+    n = tuple(tuple(m[i][j] - (i == j) for j in range(3)) for i in range(3))
+    n2 = _matmul(n, n)
+    return tuple(tuple((i == j) - n[i][j] + n2[i][j] for j in range(3))
+                 for i in range(3))
+
+
+def heisenberg_word_image(p, q, g):
+    """phi(g) for the endomorphism of heisenberg_Z with phi(x) = p and
+    phi(y) = q, g = (a, b, c) an integer triple, as a triple.
+
+    The images are folded over the normal-form word x^a y^b z^(c - a*b),
+    z = x y x^-1 y^-1, one letter at a time: each triple is its 3x3
+    unitriangular matrix [[1, a, c], [0, 1, b], [0, 0, 1]], and phi(z)
+    is the commutator of the images' matrices, so no triple formula of
+    the package is used. Slow and obvious on purpose.
+    """
+    a, b, c = g
+    mp, mq = _unitriangular(p), _unitriangular(q)
+    mz = _matmul(_matmul(mp, mq),
+                 _matmul(_unitriangular_inverse(mp), _unitriangular_inverse(mq)))
+    out = _unitriangular((0, 0, 0))
+    for base, n in ((mp, a), (mq, b), (mz, c - a * b)):
+        letter = base if n >= 0 else _unitriangular_inverse(base)
+        for _ in range(abs(n)):
+            out = _matmul(out, letter)
+    return (out[0][1], out[1][2], out[0][2])

@@ -690,23 +690,46 @@ def test_output_flag_writes_file(tmp_path):
     assert path.read_bytes() == printed.encode()
 
 
-def test_render_streams_in_bounded_batches():
-    # the whole text, held as one string or as a list of its chunks,
-    # would take several times the report's size on top of the output
-    group = parse_group_spec("builtin:dihedral_18")
+def _basis_report(spec):
+    """The basis report of the inner pair (3, 4) on the group of spec."""
+    group = parse_group_spec(spec)
     body = cmd_basis(None, group, parse_endo_spec(group, "inner:3"),
                      parse_endo_spec(group, "inner:4"), None)
-    report = {"tool_version": __version__, **body}
-    expected = json.dumps(report, indent=2, default=str) + "\n"
-    assert len(expected) > 200_000
+    return {"tool_version": __version__, **body}
+
+
+def _rendered_with_peak(format, report):
+    """(what _render writes, the tracemalloc peak while it writes)."""
     out = io.StringIO()
     tracemalloc.start()
     try:
-        _render(argparse.Namespace(format="json", destination=out), report)
+        _render(argparse.Namespace(format=format, destination=out), report)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.getvalue() == expected
+    return out.getvalue(), peak
+
+
+def test_render_streams_in_bounded_batches():
+    # the whole text, held as one string or as a list of its chunks,
+    # would take several times the report's size on top of the output
+    report = _basis_report("builtin:dihedral_18")
+    expected = json.dumps(report, indent=2, default=str) + "\n"
+    assert len(expected) > 200_000
+    text, peak = _rendered_with_peak("json", report)
+    assert text == expected
+    assert peak < 2 * len(expected)
+
+
+def test_render_text_streams_in_bounded_batches():
+    # one line per top-level key, but a line is written a batch at a
+    # time: the basis line alone is nearly the whole report
+    report = _basis_report("builtin:dihedral_32")
+    expected = "".join(f"{key}: {json.dumps(value, default=str)}\n"
+                       for key, value in report.items())
+    assert len(expected) > 200_000
+    text, peak = _rendered_with_peak("text", report)
+    assert text == expected
     assert peak < 2 * len(expected)
 
 
@@ -722,6 +745,32 @@ def test_failed_stdout_write_exits_2(capsys):
     assert json.loads(capsys.readouterr().err) == {
         "error": "SpecError",
         "message": f"cannot write <stdout>: {os.strerror(errno.ENOSPC)}",
+        "path": "<stdout>",
+    }
+
+
+def test_closed_stdout_exits_2(capsys, monkeypatch):
+    # the interpreter sets sys.stdout to None when fd 1 is closed
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(["derivations", "dim", "--group", "builtin:s3"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SpecError",
+        "message": f"cannot write <stdout>: {os.strerror(errno.EBADF)}",
+        "path": "<stdout>",
+    }
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+def test_closed_stdout_exits_2_in_a_process():
+    proc = subprocess.run(
+        [sys.executable, "-m", "twisted_derivations", "derivations", "dim",
+         "--group", "builtin:s3"],
+        stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {
+        "error": "SpecError",
+        "message": f"cannot write <stdout>: {os.strerror(errno.EBADF)}",
         "path": "<stdout>",
     }
 

@@ -52,6 +52,11 @@ EDGE_FILES = {
 
 HEIS = ["--group", "builtin:heisenberg_Z"]
 HEIS_PAIR = HEIS + ["--sigma", "inner:[1,0,0]", "--tau", "inner:[0,1,0]"]
+# neither map is inner: sigma(x) = (1, 1, 2) gives the closed form's
+# C(a,2) p0 p1 term a value no inner map gives it, and tau is not injective
+HEIS_IMAGES = HEIS + ["--sigma", "images:{[1,0,0]:[1,1,2],[0,1,0]:[0,1,-1]}",
+                      "--tau", "images:{[1,0,0]:[2,0,1],[0,1,0]:[0,0,3]}",
+                      "--radius", "3"]
 S3 = ["--group", "builtin:s3"]
 
 # options an action does not read, unparseable specs, missing images,
@@ -104,6 +109,10 @@ EDGE_CASES = [
                                "--element", "[0,0,1]", "--radius", "2"],
     ["center"] + HEIS + ["--sigma", "inner:[1,0,0]", "--tau", "inner:[1,0,0]"],
     ["groupoid-export"] + HEIS + ["--sigma", "inner:[1,1,0]"],
+    ["classes"] + HEIS_IMAGES,
+    ["groupoid-export"] + HEIS_IMAGES,
+    ["derivations", "quasi-inner"] + HEIS_IMAGES + [
+        "--potential", "@heis_pot.json"],
 ]
 
 # run in each checkout: argv is this checkout's root, the checkout's
