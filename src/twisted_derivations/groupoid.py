@@ -112,6 +112,13 @@ class SubgroupDescription:
         return f"SubgroupDescription({self.kind}; generated by {gens})"
 
 
+def in_twisted_center(z, sigma, tau) -> bool:
+    """Is sigma(z) p = p tau(z) for every p? p = e gives sigma(z) = tau(z),
+    and then sigma(z) must commute with every p, hence with the generators."""
+    sz = sigma(z)
+    return sz == tau(z) and all(sz * s == s * sz for s in z.group.generators)
+
+
 def center_to_json(group, center):
     """GroupoidView.center in JSON: the closed form on heisenberg_Z, the
     element list on finite groups."""
@@ -282,8 +289,8 @@ class GroupoidView:
         """Z(u) = {z : sigma(z) u = u tau(z)}.
 
         Finite groups get the element list; heisenberg_Z with inner
-        sigma, tau gets a closed-form SubgroupDescription from the
-        linear membership condition on triples.
+        sigma, tau (see _inner_shift) gets a closed-form SubgroupDescription
+        from the linear membership condition on triples.
         """
         group = self.group
         group._check(u)
@@ -292,21 +299,25 @@ class GroupoidView:
                     if self.sigma(z) * u == u * self.tau(z)]
         return self._heisenberg_centralizer(u)
 
-    def _inner_witnesses(self):
-        x = self.sigma.inner_witness
-        y = self.tau.inner_witness
-        if x is None or y is None:
+    def _inner_shift(self):
+        """The (a, b) part of x - y for sigma, tau conjugation by x, y.
+
+        A heisenberg_Z map is conjugation by x exactly when it sends the
+        generators to (1, 0, -x1) and (0, 1, x0), whatever its spelling.
+        """
+        (sx, sy), (tx, ty) = self.sigma.gen_images, self.tau.gen_images
+        if (sx[:2], sy[:2], tx[:2], ty[:2]) != ((1, 0), (0, 1)) * 2:
             raise NotSupportedForScope(
                 "closed forms on heisenberg_Z need inner sigma and tau")
-        return x.payload, y.payload
+        return sy[2] - ty[2], tx[2] - sx[2]
 
     def _heisenberg_centralizer(self, u) -> SubgroupDescription:
         # sigma(z) u = u tau(z) with sigma = conj by x, tau = conj by y
         # reduces to alpha*z_a + beta*z_b = 0 on the triple of z.
-        x, y = self._inner_witnesses()
+        d0, d1 = self._inner_shift()
         ua, ub, _uc = u.payload
-        alpha = ub - x[1] + y[1]
-        beta = x[0] - y[0] - ua
+        alpha = ub - d1
+        beta = d0 - ua
         group = self.group
         z_gen = group.element((0, 0, 1))
         if alpha == 0 and beta == 0:
@@ -321,27 +332,18 @@ class GroupoidView:
             rank=2, kind="free_abelian")
 
     def center(self):
-        """Z = {z : sigma(z) p = p tau(z) for every p}.
-
-        p = e gives sigma(z) = tau(z), and then the condition says that
-        sigma(z) commutes with every p, which holds iff it commutes with
-        the generators. So on a finite group p ranges over e and the
-        generators only.
+        """Z = {z : sigma(z) p = p tau(z) for every p}: the elements that
+        pass in_twisted_center on a finite group, the closed form <z> on
+        heisenberg_Z, which needs inner sigma and tau (see _inner_shift).
         """
         group = self.group
         if group.kind == "finite":
-            probes = [group.identity()] + group.generators
-            out = []
-            for z in self._scope:
-                sz = self.sigma(z)
-                tz = self.tau(z)
-                if all(sz * p == p * tz for p in probes):
-                    out.append(z)
-            return out
+            return [z for z in self._scope
+                    if in_twisted_center(z, self.sigma, self.tau)]
         # with inner sigma, tau the centralizer condition at p reads
         # alpha(p)*z_a + beta(p)*z_b = 0 and alpha, beta sweep all of Z
         # as p varies, forcing z_a = z_b = 0
-        self._inner_witnesses()
+        self._inner_shift()
         return SubgroupDescription(
             group, [(1, 0), (0, 1)], [group.element((0, 0, 1))],
             rank=1, kind="free_abelian")

@@ -552,13 +552,11 @@ class Endomorphism:
                         + C(b,2) q0 q1 + a b p1 q0 + c (p0 q1 - p1 q0)).
     """
 
-    def __init__(self, group, table=None, gen_images=None,
-                 is_automorphism=False, inner_witness=None):
+    def __init__(self, group, table=None, gen_images=None, is_automorphism=False):
         self.group = group
         self.table = table
         self.gen_images = gen_images
         self.is_automorphism = is_automorphism
-        self.inner_witness = inner_witness
 
     def __call__(self, g: GroupElement) -> GroupElement:
         self.group._check(g)
@@ -574,8 +572,6 @@ class Endomorphism:
             + c * (p0 * q1 - p1 * q0)))
 
     def __repr__(self):
-        if self.inner_witness is not None:
-            return f"Endomorphism(inner by {self.group.label(self.inner_witness)})"
         images = ", ".join(
             f"{self.group.label(g)}->{self.group.label(self(g))}"
             for g in self.group.generators)
@@ -583,8 +579,8 @@ class Endomorphism:
 
 
 def identity_endomorphism(group: Group) -> Endomorphism:
-    """The identity map, built as conjugation by the identity element so
-    that it carries an inner witness like any other inner map."""
+    """The identity map, built as conjugation by e. Like every map that
+    fixes the generators, the heisenberg_Z closed forms accept it as inner."""
     return inner_endomorphism(group, group.identity())
 
 
@@ -691,12 +687,11 @@ def inner_endomorphism(group: Group, x: GroupElement) -> Endomorphism:
         # x s x^-1 for the generators s = (1, 0, 0) and (0, 1, 0)
         x0, x1, _x2 = x.payload
         return Endomorphism(group, gen_images=[(1, 0, -x1), (0, 1, x0)],
-                            is_automorphism=True, inner_witness=x)
+                            is_automorphism=True)
     xi = x.payload
     x_inv = group.inverse_table[xi]
     table = [group.cayley[group.cayley[xi][g]][x_inv] for g in range(group.order)]
-    return Endomorphism(group, table=table, is_automorphism=True,
-                        inner_witness=x)
+    return Endomorphism(group, table=table, is_automorphism=True)
 
 
 def all_automorphisms(group: Group):
@@ -735,9 +730,9 @@ class HeisenbergParams(namedtuple("HeisenbergParams",
 
     sigma is conjugation by (sigma_a, sigma_b, sigma_c) and tau by
     (sigma_a, sigma_b, tau_c): the two witnesses share their (a, b)
-    entries and differ only in the c entry, so the two maps coincide
-    pointwise (conjugation in the Heisenberg group ignores the witness c
-    entry) while remaining distinct as witnesses.
+    entries and differ only in the c entry, which conjugation ignores:
+    sigma and tau are one map, and sigma_c, tau_c show only in the job
+    header of `derivations central`.
     """
 
     __slots__ = ()

@@ -20,27 +20,28 @@ from .derivations import (
     derivation_space,
     inner_space,
     is_inner,
-    is_sigma_tau_central,
 )
 from .errors import (
     NotSupportedForScope,
     UnsupportedSubgroup,
 )
 from .groups import builtin_group
-from .groupoid import GroupoidView, SubgroupDescription, center_to_json
+from .groupoid import (
+    GroupoidView,
+    SubgroupDescription,
+    center_to_json,
+    in_twisted_center,
+)
 
 
 def is_sigma_tau_abelian(group, sigma, tau) -> bool:
     """True iff sigma(v) u = u tau(v) for all u, v: every twisted class
     is a singleton.
 
-    The lemma, for both group kinds: u = e is (sigma, tau)-central iff
-    sigma = tau, and then u is central iff it commutes with sigma(G), so
-    the central u form the centralizer of sigma(G), a subgroup. Hence
-    every u is central iff e and the generators are.
+    That says every v lies in the twisted center, a subgroup (see
+    is_rank2_nilpotent), so it holds iff every generator does.
     """
-    return all(is_sigma_tau_central(u, sigma, tau)[0]
-               for u in [group.identity()] + group.generators)
+    return all(in_twisted_center(v, sigma, tau) for v in group.generators)
 
 
 def is_fc(group, sigma, tau):
@@ -67,17 +68,13 @@ def is_rank2_nilpotent(group, sigma, tau) -> bool:
     central, likewise for tau, so g z g^-1 lies in Z. G/Z is then
     generated by the images of the generators, and it is abelian iff
     every commutator of two generators lies in Z.
+
+    On heisenberg_Z the commutators are e and z^(+-1), so that is
+    sigma(z) = tau(z): det S = det T, as sigma(z) = (0, 0, det S) for S
+    the (a, b) part of the generator images.
     """
-    if group.kind == "heisenberg_Z":
-        if sigma.inner_witness is None or tau.inner_witness is None:
-            raise NotSupportedForScope(
-                "rank-2 nilpotency on heisenberg_Z needs inner sigma and tau")
-        # the twisted center is the commutator subgroup's closure <z>,
-        # and G/<z> is Z^2
-        return True
-    center = set(GroupoidView(group, sigma, tau).center())
     gens = group.generators
-    return all(s * t * s.inverse() * t.inverse() in center
+    return all(in_twisted_center(s * t * s.inverse() * t.inverse(), sigma, tau)
                for s in gens for t in gens)
 
 
@@ -126,9 +123,9 @@ def structure_report(group, sigma, tau, radius=None) -> dict:
             entry = {"centralizer_size": group.order // size,
                      "char_space_dim": 0}
         else:
-            # only inner pairs get here (is_rank2_nilpotent refuses the
-            # rest); the centralizer is everything (alpha = beta = 0) iff
-            # cls[0] is (sigma, tau)-central, iff its class is a singleton
+            # only inner pairs get here (center() refuses the rest); the
+            # centralizer is everything (alpha = beta = 0) iff cls[0] is
+            # (sigma, tau)-central, iff its class is a singleton
             centralizer = view.centralizer(cls[0])
             size = (1 if centralizer.kind == "heisenberg_full"
                     else "infinite-in-ball")

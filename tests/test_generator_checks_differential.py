@@ -1,14 +1,15 @@
 """Differential tests for the finite-group checks that run on generators.
 
 _validate_cayley proves associativity by Light's test over the greedy
-generators, GroupoidView.center probes only e and the generators,
-is_rank2_nilpotent checks commutators of generator pairs, and
-is_sigma_tau_abelian checks v over the generators. The references below
-scan every element (or, for rank 2, build the coset quotient of the
-twisted center as the replaced code did). Both sides must agree on
-builtins of order <= 24, for tables with a random 2x2 Latin subsquare
-switched and for sigma, tau drawn from the identity, inner maps and
-random generator images, non-injective ones included.
+generators, and in_twisted_center decides membership in the twisted
+center from sigma(z) = tau(z) and the generators: GroupoidView.center
+applies it to every element, is_rank2_nilpotent to the commutators of
+generator pairs, and is_sigma_tau_abelian to the generators. The
+references below scan every element (or, for rank 2, build the coset
+quotient of the twisted center as the replaced code did). Both sides
+must agree on builtins of order <= 24, for tables with a random 2x2
+Latin subsquare switched and for sigma, tau drawn from the identity,
+inner maps and random generator images, non-injective ones included.
 """
 
 from functools import lru_cache

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from twisted_derivations import (
     GroupMismatch,
+    GroupoidView,
     HeisenbergParams,
     NoIdentity,
     NoInverse,
@@ -209,15 +210,20 @@ def test_heisenberg_ball_is_deterministic():
 
 
 def test_identity_endomorphism():
-    # the identity carries the inner witness e on both kinds of group, so
-    # closed forms that need inner sigma and tau accept it
     for g in (builtin_group("symmetric", 3), builtin_group("heisenberg_Z")):
         e = identity_endomorphism(g)
         scope = g.elements() if g.kind == "finite" else g.ball(2)
         for x in scope:
             assert e(x) == x
         assert e.is_automorphism
-        assert e.inner_witness == g.identity()
+    # on heisenberg_Z the closed forms that need inner sigma and tau read
+    # innerness from the generator images, which fix the generators here
+    h = builtin_group("heisenberg_Z")
+    e = identity_endomorphism(h)
+    assert [h.element(p) for p in e.gen_images] == h.generators
+    center = GroupoidView(h, e, e, radius=2).center()
+    assert center.kind == "free_abelian"
+    assert center.conditions == [(1, 0), (0, 1)]
 
 
 def test_inner_endomorphism_is_conjugation():
@@ -226,7 +232,7 @@ def test_inner_endomorphism_is_conjugation():
         f = inner_endomorphism(g, x)
         for a in g.elements():
             assert f(a) == x * a * x.inverse()
-        assert f.inner_witness == x
+        assert f.is_automorphism
 
 
 def test_inner_endomorphism_heisenberg():
@@ -308,8 +314,10 @@ def test_heisenberg_params_witnesses():
     assert s.payload == (2, 3, 0)
     assert t.payload == (2, 3, 1)
     sigma, tau = params.endomorphisms(g)
-    assert sigma.inner_witness == s
-    assert tau.inner_witness == t
+    # the witnesses differ only in c, which conjugation ignores, so sigma
+    # and tau are one map: conjugation by either witness
+    for p in g.ball(2):
+        assert sigma(p) == tau(p) == s * p * s.inverse() == t * p * t.inverse()
 
 
 def test_element_json_round_trip():

@@ -4,7 +4,7 @@ generators.
 structure_report and verify_decomposition take each centralizer order
 as |G| / |class| by orbit-stabilizer; GroupoidView.conjugacy_class on a
 finite group returns the component of its element; is_sigma_tau_abelian
-and is_fc apply the twisted-centrality lemma to e and the generators;
+and is_fc test the generators for membership in the twisted center;
 the builtin dihedral, quaternion and heisenberg_mod tables come from
 closed formulas; make_endomorphism proves the homomorphism property on
 the (g, s) pairs with s a generator. The references below are the code
@@ -30,6 +30,7 @@ from twisted_derivations import (
     identity_endomorphism,
     inner_endomorphism,
     is_fc,
+    is_rank2_nilpotent,
     is_sigma_tau_abelian,
     is_sigma_tau_central,
     make_endomorphism,
@@ -37,6 +38,7 @@ from twisted_derivations import (
     verify_decomposition,
 )
 from twisted_derivations import groups
+from twisted_derivations.cli import main
 from twisted_derivations.errors import NotAHomomorphism
 
 FINITE = [
@@ -379,4 +381,69 @@ def test_group_info_non_inner_heisenberg_refused():
     assert proc.returncode == 3
     err = json.loads(proc.stderr)
     assert err["error"] == "NotSupportedForScope"
-    assert "rank-2 nilpotency" in err["message"]
+    # is_rank2_nilpotent answers every pair; the closed-form center refuses
+    assert err["message"] == (
+        "closed forms on heisenberg_Z need inner sigma and tau")
+
+
+# -- heisenberg_Z: innerness is read from the map, not from its spelling -------
+
+
+# (x, y) with sigma = conjugation by x and tau by y; x = y and x = e included
+SPELLING_PAIRS = {"x-ne-y": ((3, 2, 5), (1, -1, 0)),
+                  "x-eq-y": ((2, -1, 4), (2, -1, 4)),
+                  "x-is-e": ((0, 0, 0), (1, 2, -3))}
+
+
+def _spellings(x, tmp_path):
+    """inner:, images: and file: specs of conjugation by x, and id for e."""
+    images = {"[1,0,0]": [1, 0, -x[1]], "[0,1,0]": [0, 1, x[0]]}
+    path = tmp_path / f"endo_{x[0]}_{x[1]}_{x[2]}.json"
+    path.write_text(json.dumps({"images": images}))
+    specs = ["inner:[{},{},{}]".format(*x),
+             "images:{" + ",".join(f"{k}:[{v[0]},{v[1]},{v[2]}]"
+                                   for k, v in images.items()) + "}",
+             f"file:{path}"]
+    if x[:2] == (0, 0):
+        specs.append("id")
+    return specs
+
+
+def _report_without_job(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    blob = json.loads(out)
+    del blob["job"]
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize("command", ["group-info", "centralizers", "center",
+                                     "classes"])
+@pytest.mark.parametrize("x, y", SPELLING_PAIRS.values(),
+                         ids=SPELLING_PAIRS.keys())
+def test_heisenberg_reports_ignore_how_a_map_is_written(
+        capsys, tmp_path, command, x, y):
+    reports = {
+        _report_without_job(capsys, [command, "--group", "builtin:heisenberg_Z",
+                                     "--sigma", sigma, "--tau", tau,
+                                     "--radius", "3"])
+        for sigma in _spellings(x, tmp_path)
+        for tau in _spellings(y, tmp_path)}
+    assert len(reports) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=4))
+def test_heisenberg_rank2_is_det_equality(images):
+    # sigma([x, y]) = (0, 0, det S) for S the (a, b) part of sigma's
+    # generator images, so G/Z is abelian iff det S = det T
+    group = builtin_group("heisenberg_Z")
+    sigma = make_endomorphism(group, [group.element(p) for p in images[:2]])
+    tau = make_endomorphism(group, [group.element(p) for p in images[2:]])
+
+    def det(endo):
+        (p0, p1, _), (q0, q1, _) = endo.gen_images
+        return p0 * q1 - p1 * q0
+
+    assert is_rank2_nilpotent(group, sigma, tau) == (det(sigma) == det(tau))

@@ -57,6 +57,10 @@ HEIS_PAIR = HEIS + ["--sigma", "inner:[1,0,0]", "--tau", "inner:[0,1,0]"]
 HEIS_IMAGES = HEIS + ["--sigma", "images:{[1,0,0]:[1,1,2],[0,1,0]:[0,1,-1]}",
                       "--tau", "images:{[1,0,0]:[2,0,1],[0,1,0]:[0,0,3]}",
                       "--radius", "3"]
+# inner maps written as images: conjugation by (3, 2, .) and by (1, -1, .)
+HEIS_INNER_IMAGES = HEIS + [
+    "--sigma", "images:{[1,0,0]:[1,0,-2],[0,1,0]:[0,1,3]}",
+    "--tau", "images:{[1,0,0]:[1,0,1],[0,1,0]:[0,1,1]}", "--radius", "3"]
 S3 = ["--group", "builtin:s3"]
 
 # options an action does not read, unparseable specs, missing images,
@@ -113,6 +117,9 @@ EDGE_CASES = [
     ["groupoid-export"] + HEIS_IMAGES,
     ["derivations", "quasi-inner"] + HEIS_IMAGES + [
         "--potential", "@heis_pot.json"],
+    ["group-info"] + HEIS_INNER_IMAGES,
+    ["centralizers"] + HEIS_INNER_IMAGES,
+    ["center"] + HEIS_INNER_IMAGES,
 ]
 
 # run in each checkout: argv is this checkout's root, the checkout's
