@@ -18,8 +18,10 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # arithmetic results are Fractions already; re-wrapping one costs
+        # Fraction.__new__'s ABC checks twice per scalar
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def parse(cls, re_str, im_str="0"):
@@ -59,6 +61,8 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __eq__(self, other):
+        if type(other) is GaussianRational:
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
@@ -150,7 +154,11 @@ class AlgebraElement:
         self._check_group(other)
         terms = dict(self.terms)
         for g, c in other.terms.items():
-            acc = terms.get(g, ZERO) + c
+            prev = terms.get(g)
+            if prev is None:
+                terms[g] = c  # nonzero: terms hold no zero coefficient
+                continue
+            acc = prev + c
             if acc:
                 terms[g] = acc
             else:

@@ -212,6 +212,12 @@ class AdditiveCharacterOnG:
                         f"generator {group.label(gen)} has order {n}, so "
                         f"phi({group.label(gen)}) must be 0",
                         generator=group.element_to_json(gen), order=n)
+        else:
+            # mu.re, nu.re, mu.im, nu.im, as ints where integral: phi(g)
+            # then costs two int products per part, not Fraction products
+            mu, nu = self.gen_values
+            self._parts = [int(x) if x.denominator == 1 else x
+                           for x in (mu.re, nu.re, mu.im, nu.im)]
 
     @classmethod
     def zero(cls, group):
@@ -222,9 +228,9 @@ class AdditiveCharacterOnG:
         if self.group.kind == "finite":
             return ZERO
         a, b, _c = g.payload
-        mu, nu = self.gen_values
+        mu_re, nu_re, mu_im, nu_im = self._parts
         # one scalar from the parts: central derivations call this per element
-        return GaussianRational(a * mu.re + b * nu.re, a * mu.im + b * nu.im)
+        return GaussianRational(a * mu_re + b * nu_re, a * mu_im + b * nu_im)
 
     def is_zero(self):
         return not any(self.gen_values)
@@ -322,17 +328,30 @@ def check_leibniz(D: DerivationTable, pairs=None):
     directly. The pairs are scanned only when the proof fails, to decide
     and to name the first violation.
 
+    Per-factor work runs once per run of one left factor, not once per
+    pair: sigma(g2) and D(g2) are read when g2 changes, and tau(g1) and
+    D(g1) once per distinct right factor. The answer does not depend on
+    the order of the pairs; only the cost does.
+
     Returns {"ok": True, "violations": []} or {"ok": False, "violations":
     [(g2, g1, lhs, rhs)]}: the first violation in the order of pairs, or
     in canonical order (g2 first) when pairs is None.
     """
     group = D.group
-    sigma, tau = D.sigma, D.tau
+    sigma, tau, value = D.sigma, D.tau, D.value
 
     def first_violation(pairs):
+        left = None
+        right = {}  # g1 -> (tau(g1), D(g1))
         for g2, g1 in pairs:
-            lhs = D.value(g2 * g1)
-            rhs = D.value(g2).right_mul(tau(g1)) + D.value(g1).left_mul(sigma(g2))
+            lhs = value(g2 * g1)
+            if g2 is not left:  # product() repeats one object per run
+                left = g2
+                sigma_g2, d_g2 = sigma(g2), value(g2)
+            factor = right.get(g1)
+            if factor is None:
+                factor = right[g1] = tau(g1), value(g1)
+            rhs = d_g2.right_mul(factor[0]) + factor[1].left_mul(sigma_g2)
             if lhs != rhs:
                 return g2, g1, lhs, rhs
         return None
@@ -564,16 +583,19 @@ def is_quasi_inner(D: DerivationTable, scope=None):
     A pair (h, g) is a loop exactly when sigma(g^-1) h = h tau(g^-1).
     Only the support of D can land on loops, so the scan runs over scope
     elements g, by default group.ball(None), and the support of D(g).
+    The witness is the canonical-least loop term h of the first scope
+    element g that has one.
     """
-    sigma, tau = D.sigma, D.tau
-    for g in D.group.ball(None) if scope is None else scope:
+    group, sigma, tau = D.group, D.sigma, D.tau
+    for g in group.ball(None) if scope is None else scope:
         g_inv = g.inverse()
         s = sigma(g_inv)
         t = tau(g_inv)
-        for h in D.value(g).support():
-            if s * h == h * t:
-                return {"quasi_inner": False,
-                        "loop_witness": (h, g),
-                        "value": D.lam(h, g)}
+        loops = [h for h in D.value(g).terms if s * h == h * t]
+        if loops:
+            h = min(loops, key=group.sort_key)
+            return {"quasi_inner": False,
+                    "loop_witness": (h, g),
+                    "value": D.lam(h, g)}
     return {"quasi_inner": True, "loop_witness": None, "value": None}
 

@@ -83,7 +83,7 @@ class GroupElement:
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.payload))
+        return hash(self.payload)
 
     def __mul__(self, other):
         return self.group.multiply(self, other)

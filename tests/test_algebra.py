@@ -51,6 +51,50 @@ def test_gaussian_rational_parse_and_json():
     assert GaussianRational.parse(blob["re"], blob["im"]) == v
 
 
+# (constructor argument, the Fraction it stands for): an int, a Fraction
+# or a rational string
+scalar_parts = st.one_of(
+    st.integers(-20, 20).map(lambda n: (n, Fraction(n))),
+    rationals.map(lambda q: (q, q)),
+    rationals.map(lambda q: (str(q), q)))
+
+
+@st.composite
+def scalars_with_parts(draw):
+    """(scalar, (re, im) as Fractions), built by the constructor or parse."""
+    (re, re_q), (im, im_q) = draw(scalar_parts), draw(scalar_parts)
+    if draw(st.booleans()):
+        return GaussianRational.parse(str(re_q), str(im_q)), (re_q, im_q)
+    return GaussianRational(re, im), (re_q, im_q)
+
+
+@given(scalars_with_parts(), st.one_of(scalars_with_parts(),
+                                       st.integers(-5, 5).map(
+                                           lambda n: (n, (Fraction(n), 0)))))
+@settings(max_examples=150)
+def test_scalar_parts_stay_fractions(a_case, b_case):
+    a, (ar, ai) = a_case
+    b, (br, bi) = b_case
+    expected = {
+        "+": (a + b, (ar + br, ai + bi)),
+        "-": (a - b, (ar - br, ai - bi)),
+        "*": (a * b, (ar * br - ai * bi, ar * bi + ai * br)),
+        "neg": (-a, (-ar, -ai)),
+        "r+": (b + a, (ar + br, ai + bi)),
+        "r*": (b * a, (ar * br - ai * bi, ar * bi + ai * br)),
+    }
+    norm = br * br + bi * bi
+    if norm:
+        expected["/"] = (a / b, ((ar * br + ai * bi) / norm,
+                                 (ai * br - ar * bi) / norm))
+    for op, (x, (re, im)) in expected.items():
+        assert type(x.re) is Fraction and type(x.im) is Fraction, op
+        assert x.to_json() == {"re": str(Fraction(re)),
+                               "im": str(Fraction(im))}, op
+    assert type(a.re) is Fraction and type(a.im) is Fraction
+    assert a.to_json() == {"re": str(ar), "im": str(ai)}
+
+
 def test_i_squared_is_minus_one():
     i = GaussianRational(0, 1)
     assert i * i == GaussianRational(-1, 0)

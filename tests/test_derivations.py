@@ -280,6 +280,24 @@ def test_additive_character_on_finite_group_must_vanish():
         AdditiveCharacterOnG(g, (GaussianRational(1, 0),))
     zero = AdditiveCharacterOnG.zero(g)
     assert zero.is_zero()
+    # one generator, the identity
+    trivial = builtin_group("cyclic", 1)
+    assert AdditiveCharacterOnG.zero(trivial)(trivial.identity()) == 0
+
+
+def test_heisenberg_character_matches_scalar_arithmetic():
+    g = builtin_group("heisenberg_Z")
+    mu = GaussianRational(Fraction(1, 2), 3)
+    nu = GaussianRational(Fraction(-2, 3))
+    for gen_values in ((mu, nu), (3, -2), (0, 0)):
+        phi = AdditiveCharacterOnG(g, gen_values)
+        m, n = (GaussianRational(v) if isinstance(v, int) else v
+                for v in gen_values)
+        for x in g.ball(3):
+            a, b, _c = x.payload
+            value = phi(x)
+            assert value == GaussianRational(a) * m + GaussianRational(b) * n
+            assert type(value.re) is Fraction and type(value.im) is Fraction
 
 
 def test_zero_character_gives_zero_derivation():

@@ -120,6 +120,15 @@ EDGE_CASES = [
     ["group-info"] + HEIS_INNER_IMAGES,
     ["centralizers"] + HEIS_INNER_IMAGES,
     ["center"] + HEIS_INNER_IMAGES,
+    # Leibniz proofs on the cover B(9), past any benchmark round's radius
+    ["derivations", "central"] + HEIS + [
+        "--sigma", "inner:[2,-1,0]", "--tau", "inner:[2,-1,3]",
+        "--params", "2,-1,0,3", "--mu", "3", "--nu", "-2", "--r", "1",
+        "--check-radius", "5"],
+    ["derivations", "central"] + HEIS + [
+        "--sigma", "inner:[2,-1,0]", "--tau", "inner:[2,-1,3]",
+        "--params", "2,-1,0,3", "--mu", "0", "--nu", "0", "--r", "1",
+        "--check-radius", "5"],
 ]
 
 # run in each checkout: argv is this checkout's root, the checkout's
