@@ -1,10 +1,11 @@
 """Exact scalars and finite-support group-algebra arithmetic.
 
 Scalars are Gaussian rationals: complex numbers with rational real and
-imaginary parts, stored exactly. Every linear condition the library
-generates has integer coefficients, so dimensions computed over this
-field agree with dimensions over the full complex field while keeping
-all checks at tolerance zero.
+imaginary parts, stored exactly, each part an int or a Fraction and
+never a float. Every linear condition the library generates has integer
+coefficients, so dimensions computed over this field agree with
+dimensions over the full complex field while keeping all checks at
+tolerance zero.
 """
 
 from __future__ import annotations
@@ -18,10 +19,14 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # arithmetic results are Fractions already; re-wrapping one costs
-        # Fraction.__new__'s ABC checks twice per scalar
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        # each part is an int or a Fraction, never a float or a bool: ints
+        # stay ints, so integral arithmetic pays no Fraction gcd, and
+        # Fractions are not re-wrapped; == and hash agree across the two
+        # (hash(3) == hash(Fraction(3))), and so do the printed parts
+        t = type(re)
+        self.re = re if t is int or t is Fraction else Fraction(re)
+        t = type(im)
+        self.im = im if t is int or t is Fraction else Fraction(im)
 
     @classmethod
     def parse(cls, re_str, im_str="0"):
@@ -54,8 +59,8 @@ class GaussianRational:
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm)
+            _exact_div(self.re * other.re + self.im * other.im, norm),
+            _exact_div(self.im * other.re - self.re * other.im, norm))
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -85,6 +90,13 @@ class GaussianRational:
 
     def to_json(self):
         return {"re": str(self.re), "im": str(self.im)}
+
+
+def _exact_div(num, den):
+    # int / int is a float; the quotient of two ints is built as a Fraction
+    if type(num) is int and type(den) is int:
+        return Fraction(num, den)
+    return num / den
 
 
 def _coerce(value):

@@ -212,12 +212,6 @@ class AdditiveCharacterOnG:
                         f"generator {group.label(gen)} has order {n}, so "
                         f"phi({group.label(gen)}) must be 0",
                         generator=group.element_to_json(gen), order=n)
-        else:
-            # mu.re, nu.re, mu.im, nu.im, as ints where integral: phi(g)
-            # then costs two int products per part, not Fraction products
-            mu, nu = self.gen_values
-            self._parts = [int(x) if x.denominator == 1 else x
-                           for x in (mu.re, nu.re, mu.im, nu.im)]
 
     @classmethod
     def zero(cls, group):
@@ -228,9 +222,9 @@ class AdditiveCharacterOnG:
         if self.group.kind == "finite":
             return ZERO
         a, b, _c = g.payload
-        mu_re, nu_re, mu_im, nu_im = self._parts
+        mu, nu = self.gen_values
         # one scalar from the parts: central derivations call this per element
-        return GaussianRational(a * mu_re + b * nu_re, a * mu_im + b * nu_im)
+        return GaussianRational(a * mu.re + b * nu.re, a * mu.im + b * nu.im)
 
     def is_zero(self):
         return not any(self.gen_values)
@@ -330,30 +324,46 @@ def check_leibniz(D: DerivationTable, pairs=None):
 
     Per-factor work runs once per run of one left factor, not once per
     pair: sigma(g2) and D(g2) are read when g2 changes, and tau(g1) and
-    D(g1) once per distinct right factor. The answer does not depend on
-    the order of the pairs; only the cost does.
+    D(g1) once per distinct right factor. The right side is built as a
+    terms dict, with coefficients that cancel dropped, and compared with
+    D(g2 g1).terms; algebra elements are built for a violation only. The
+    answer does not depend on the order of the pairs; only the cost does.
 
     Returns {"ok": True, "violations": []} or {"ok": False, "violations":
     [(g2, g1, lhs, rhs)]}: the first violation in the order of pairs, or
     in canonical order (g2 first) when pairs is None.
     """
     group = D.group
-    sigma, tau, value = D.sigma, D.tau, D.value
+    sigma, tau, value, multiply = D.sigma, D.tau, D.value, group.multiply
 
     def first_violation(pairs):
         left = None
-        right = {}  # g1 -> (tau(g1), D(g1))
+        right = {}  # g1 -> (tau(g1), D(g1).terms)
         for g2, g1 in pairs:
             lhs = value(g2 * g1)
             if g2 is not left:  # product() repeats one object per run
                 left = g2
-                sigma_g2, d_g2 = sigma(g2), value(g2)
+                sigma_g2, d_g2 = sigma(g2), value(g2).terms
             factor = right.get(g1)
             if factor is None:
-                factor = right[g1] = tau(g1), value(g1)
-            rhs = d_g2.right_mul(factor[0]) + factor[1].left_mul(sigma_g2)
-            if lhs != rhs:
-                return g2, g1, lhs, rhs
+                factor = right[g1] = tau(g1), value(g1).terms
+            tau_g1, d_g1 = factor
+            # D(g2) tau(g1) + sigma(g2) D(g1); each product by one group
+            # element is injective on the support, so only the sum merges
+            rhs = {multiply(u, tau_g1): c for u, c in d_g2.items()}
+            for v, c in d_g1.items():
+                h = multiply(sigma_g2, v)
+                prev = rhs.get(h)
+                if prev is None:
+                    rhs[h] = c
+                else:
+                    c = prev + c
+                    if c:
+                        rhs[h] = c
+                    else:
+                        del rhs[h]
+            if lhs.terms != rhs:
+                return g2, g1, lhs, AlgebraElement(group, rhs)
         return None
 
     gens = group.generators

@@ -550,6 +550,9 @@ class Endomorphism:
 
         phi(a, b, c) = (a p0 + b q0, a p1 + b q1, a p2 + b q2 + C(a,2) p0 p1
                         + C(b,2) q0 q1 + a b p1 q0 + c (p0 q1 - p1 q0)).
+
+    The products p0 p1, q0 q1, p1 q0 and p0 q1 - p1 q0 are taken once per
+    map, not once per call.
     """
 
     def __init__(self, group, table=None, gen_images=None, is_automorphism=False):
@@ -557,19 +560,22 @@ class Endomorphism:
         self.table = table
         self.gen_images = gen_images
         self.is_automorphism = is_automorphism
+        if gen_images is not None:
+            (p0, p1, p2), (q0, q1, q2) = gen_images
+            self._closed_form = (p0, p1, p2, q0, q1, q2, p0 * p1, q0 * q1,
+                                 p1 * q0, p0 * q1 - p1 * q0)
 
     def __call__(self, g: GroupElement) -> GroupElement:
         self.group._check(g)
         if self.table is not None:
             return self.group._elements[self.table[g.payload]]
-        (p0, p1, p2), (q0, q1, q2) = self.gen_images
+        p0, p1, p2, q0, q1, q2, pp, qq, qp, det = self._closed_form
         a, b, c = g.payload
         return GroupElement(self.group, (
             a * p0 + b * q0,
             a * p1 + b * q1,
-            a * p2 + b * q2 + (a * (a - 1) // 2) * p0 * p1
-            + (b * (b - 1) // 2) * q0 * q1 + a * b * p1 * q0
-            + c * (p0 * q1 - p1 * q0)))
+            a * p2 + b * q2 + (a * (a - 1) // 2) * pp
+            + (b * (b - 1) // 2) * qq + a * b * qp + c * det))
 
     def __repr__(self):
         images = ", ".join(

@@ -68,11 +68,21 @@ def scalars_with_parts(draw):
     return GaussianRational(re, im), (re_q, im_q)
 
 
-@given(scalars_with_parts(), st.one_of(scalars_with_parts(),
-                                       st.integers(-5, 5).map(
-                                           lambda n: (n, (Fraction(n), 0)))))
+# scalars with int parts, which must stay ints under +, - and *
+integral_scalars_with_parts = st.tuples(st.integers(-20, 20),
+                                        st.integers(-20, 20)).map(
+    lambda p: (GaussianRational(*p), (Fraction(p[0]), Fraction(p[1]))))
+
+
+def _exact(part):
+    return type(part) is int or type(part) is Fraction
+
+
+@given(st.one_of(scalars_with_parts(), integral_scalars_with_parts),
+       st.one_of(scalars_with_parts(), integral_scalars_with_parts,
+                 st.integers(-5, 5).map(lambda n: (n, (Fraction(n), 0)))))
 @settings(max_examples=150)
-def test_scalar_parts_stay_fractions(a_case, b_case):
+def test_scalar_parts_stay_exact(a_case, b_case):
     a, (ar, ai) = a_case
     b, (br, bi) = b_case
     expected = {
@@ -88,11 +98,27 @@ def test_scalar_parts_stay_fractions(a_case, b_case):
         expected["/"] = (a / b, ((ar * br + ai * bi) / norm,
                                  (ai * br - ar * bi) / norm))
     for op, (x, (re, im)) in expected.items():
-        assert type(x.re) is Fraction and type(x.im) is Fraction, op
+        assert _exact(x.re) and _exact(x.im), op
+        assert (x.re, x.im) == (re, im), op
         assert x.to_json() == {"re": str(Fraction(re)),
                                "im": str(Fraction(im))}, op
-    assert type(a.re) is Fraction and type(a.im) is Fraction
+    assert _exact(a.re) and _exact(a.im)
+    assert (a.re, a.im) == (ar, ai)
     assert a.to_json() == {"re": str(ar), "im": str(ai)}
+    b_parts = (b, 0) if type(b) is int else (b.re, b.im)
+    if all(type(part) is int for part in (a.re, a.im) + b_parts):
+        for op in ("+", "-", "*", "neg", "r+", "r*"):
+            x = expected[op][0]
+            assert type(x.re) is int and type(x.im) is int, op
+        if norm:
+            x = expected["/"][0]
+            assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+def test_float_and_bool_parts_become_fractions():
+    x = GaussianRational(True, 1.5)
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert (x.re, x.im) == (1, Fraction(3, 2))
 
 
 def test_i_squared_is_minus_one():

@@ -36,6 +36,11 @@ EDGE_FILES = {
         "4": {"terms": [{"elem": 2, "re": "1"}, {"elem": 5, "re": "-1"}]},
         "5": {"terms": [{"elem": 3, "re": "1"}, {"elem": 4, "re": "-1"}]}}},
     "heis_pot.json": {"values": [{"elem": [1, 0, 0], "re": "1"}]},
+    # integral coefficients, as ints and as strings
+    "heis_int_pot.json": {"values": [
+        {"elem": [1, 0, 0], "re": 2, "im": -1},
+        {"elem": [0, 1, 0], "re": "-3"},
+        {"elem": [-1, 0, 1], "re": 1, "im": "4"}]},
     "heis_zero.json": {"D": {}},
     # D(x) = e, zero elsewhere: breaks Leibniz at (x, x^-1) for any pair
     "heis_bad.json": {"D": {"[1,0,0]": {"terms": [{"elem": [0, 0, 0], "re": "1"}]}}},
@@ -129,6 +134,12 @@ EDGE_CASES = [
         "--sigma", "inner:[2,-1,0]", "--tau", "inner:[2,-1,3]",
         "--params", "2,-1,0,3", "--mu", "0", "--nu", "0", "--r", "1",
         "--check-radius", "5"],
+    # integral characters: every scalar of the Leibniz proof has int parts
+    ["derivations", "central"] + HEIS + [
+        "--params", "1,2,-1,3", "--mu", "2", "--nu", "-3", "--r", "2",
+        "--check-radius", "4"],
+    ["derivations", "quasi-inner"] + HEIS_PAIR + [
+        "--radius", "3", "--potential", "@heis_int_pot.json"],
 ]
 
 # run in each checkout: argv is this checkout's root, the checkout's
